@@ -28,7 +28,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math/rand"
 	"net/http"
 	"runtime"
 	"strconv"
@@ -333,11 +332,18 @@ func retryAfter(d time.Duration) string {
 // so a burst of simultaneously shed clients does not return as a
 // synchronized stampede exactly one hint later.
 func (s *Server) setRetryAfter(w http.ResponseWriter, base time.Duration) {
-	rnd := s.cfg.Jitter
-	if rnd == nil {
-		rnd = rand.Float64
+	w.Header().Set("Retry-After", retryAfter(overload.Jitter(base, retryJitterFrac, s.cfg.Jitter)))
+}
+
+// setBreakerRetryAfter writes the hint for an open circuit. Its base is the
+// time until the breaker next admits a probe, so the hint may come early
+// but never late: the upper half of the ±25% spread folds below the base.
+func (s *Server) setBreakerRetryAfter(w http.ResponseWriter, base time.Duration) {
+	d := overload.Jitter(base, retryJitterFrac, s.cfg.Jitter)
+	if d > base {
+		d = 2*base - d
 	}
-	w.Header().Set("Retry-After", retryAfter(overload.Jitter(base, retryJitterFrac, rnd)))
+	w.Header().Set("Retry-After", retryAfter(d))
 }
 
 // deadlineFor resolves one request's deadline, tightest declaration wins
@@ -438,7 +444,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		// the circuit will next admit a probe.
 		var coe *payless.CircuitOpenError
 		if errors.As(err, &coe) {
-			s.setRetryAfter(w, coe.RetryAfter)
+			s.setBreakerRetryAfter(w, coe.RetryAfter)
 		}
 		writeError(w, statusOf(err), err)
 		return

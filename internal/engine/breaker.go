@@ -209,6 +209,15 @@ func (s *BreakerSet) For(dataset string) *Breaker {
 	return b
 }
 
+// Cooldown is how long a tripped breaker in the set stays open before it
+// admits a probe; 0 for a nil set (breaking disabled).
+func (s *BreakerSet) Cooldown() time.Duration {
+	if s == nil {
+		return 0
+	}
+	return s.cooldown
+}
+
 // Acquire is For(dataset).Acquire() with a nil-set fast path: a nil set
 // admits every call and its release is a no-op.
 func (s *BreakerSet) Acquire(dataset string) (release func(callErr error), err error) {

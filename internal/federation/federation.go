@@ -94,6 +94,7 @@ type endpoint struct {
 	calls    int64         // attempts issued (excluding breaker refusals)
 	failures int64         // hard failures (context cancellations excluded)
 	streak   int64         // consecutive hard failures, reset on success
+	failedAt time.Time     // when the last hard failure landed
 }
 
 // observe folds one attempt's outcome into the endpoint's health state.
@@ -115,7 +116,22 @@ func (e *endpoint) observe(lat time.Duration, err error) {
 	default:
 		e.failures++
 		e.streak++
+		e.failedAt = time.Now()
 	}
+}
+
+// rankStreak is the failure streak the cost model charges. It is forgiven
+// once a breaker cooldown has passed since the last failure: the endpoint's
+// breaker then admits a probe, and a healed mirror still ranked behind its
+// old streak would never receive the call that closes its breaker. With
+// breaking disabled (cooldown 0) the streak stands until a success.
+func (e *endpoint) rankStreak(cooldown time.Duration, now time.Time) int64 {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if cooldown > 0 && now.Sub(e.failedAt) >= cooldown {
+		return 0
+	}
+	return e.streak
 }
 
 // latency returns the endpoint's effective latency for the cost model:
@@ -205,8 +221,9 @@ type candidate struct {
 // where latency is the endpoint's observed EWMA (falling back to its static
 // hint) and failureStreak is the run of consecutive hard failures — a
 // flaky-but-not-yet-tripped mirror is deprioritized before its breaker ever
-// opens. Catalog mirror entries restrict eligibility and override terms for
-// the specific table.
+// opens, and ranks on its terms again once its breaker would re-probe.
+// Catalog mirror entries restrict eligibility and override terms for the
+// specific table.
 func (f *Caller) rank(q catalog.AccessQuery) []candidate {
 	var mirrors map[string]catalog.Mirror
 	if f.cfg.Mirrors != nil {
@@ -218,6 +235,7 @@ func (f *Caller) rank(q catalog.AccessQuery) []candidate {
 		}
 	}
 	eps := f.endpoints()
+	cooldown, now := f.breakers.Cooldown(), time.Now()
 	cands := make([]candidate, 0, len(eps))
 	for _, ep := range eps {
 		factor := ep.PriceFactor
@@ -234,7 +252,7 @@ func (f *Caller) rank(q catalog.AccessQuery) []candidate {
 				lat = m.LatencyHint
 			}
 		}
-		_, _, streak, _ := ep.stats()
+		streak := ep.rankStreak(cooldown, now)
 		score := factor * (1 + lat.Seconds()/latencyUnit.Seconds()) * float64(1+streak)
 		cands = append(cands, candidate{ep: ep, score: score})
 	}
@@ -476,7 +494,7 @@ func (f *Caller) UpdateEndpoints(eps []Endpoint) error {
 		ne := &endpoint{Endpoint: e}
 		if prev, ok := old[e.Name]; ok {
 			prev.mu.Lock()
-			ne.ewma, ne.calls, ne.failures, ne.streak = prev.ewma, prev.calls, prev.failures, prev.streak
+			ne.ewma, ne.calls, ne.failures, ne.streak, ne.failedAt = prev.ewma, prev.calls, prev.failures, prev.streak, prev.failedAt
 			prev.mu.Unlock()
 		}
 		built = append(built, ne)

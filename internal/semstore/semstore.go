@@ -1,8 +1,8 @@
 // Package semstore implements PayLess's semantic store (paper §3 step 5.3,
 // §4.2): every RESTful query issued to the data market is remembered as a
 // box over the table's queryable space, and its result rows are materialised
-// (deduplicated, never evicted — "we deliberately use cheap storage space to
-// store all intermediate results") in the buyer's local DBMS.
+// once, in the store itself (deduplicated, never evicted — "we deliberately
+// use cheap storage space to store all intermediate results").
 //
 // The store answers the two questions semantic query rewriting needs:
 // which part of a prospective call's box is already covered (the remainder
@@ -21,7 +21,9 @@
 //     stored boxes to those overlapping the query before any subtraction,
 //     with a fast path when a single stored box contains the query outright.
 //   - RowsIn/CountIn use per-dimension sorted coordinate indexes instead of
-//     scanning every materialised row.
+//     scanning every materialised row. Record merges a whole batch into them
+//     at once: sort the new coordinates, then merge them into a short tail
+//     run that is folded into the main run only once it has grown.
 //
 // Compaction and indexing never change answers: the union of stored
 // coverage is preserved exactly, and freshness is only ever lost downward
@@ -30,7 +32,9 @@
 package semstore
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -42,13 +46,6 @@ import (
 	"payless/internal/storage"
 	"payless/internal/value"
 )
-
-// tablePrefix namespaces materialised market tables inside the local DBMS.
-const tablePrefix = "market_"
-
-// LocalTableName returns the DBMS table name holding the materialised rows
-// of the given market table.
-func LocalTableName(table string) string { return tablePrefix + table }
 
 // bigBoxLimit is how many of the largest stored boxes are kept in the
 // containment fast-path list checked before any index walk.
@@ -87,12 +84,27 @@ type dimIdx struct {
 	maxWidth int64
 }
 
-// rowDim is the sorted coordinate index of the materialised rows on one
-// queryable dimension: coords is sorted ascending with ids parallel to it.
-type rowDim struct {
+// rowRun is one sorted run of the row index on one queryable dimension:
+// coords ascending with ids parallel to it, ties in ascending id order. A
+// published run is never mutated — merges build fresh slices — so clones
+// share the published runs.
+type rowRun struct {
 	coords []int64
 	ids    []int
 }
+
+// rowDim indexes the materialised rows on one queryable dimension as two
+// runs. tail holds the rows indexed since base was last rebuilt, so every
+// tail id exceeds every base id. Record merges its batch into the tail and
+// folds the tail into base once it outgrows 1/tailFraction of base: a
+// Record copies the short tail, and the whole-index copy of a fold is
+// spread over the Records that filled the tail.
+type rowDim struct {
+	base, tail rowRun
+}
+
+// tailFraction bounds a row index tail at 1/tailFraction of its base.
+const tailFraction = 8
 
 type tableStore struct {
 	meta    *catalog.Table
@@ -106,8 +118,9 @@ type tableStore struct {
 	// big lists up to bigBoxLimit largest live boxes by volume — the O(1)
 	// containment fast path for queries inside a large stored region.
 	big []int
-	// rows mirrors the deduplicated materialised rows with their queryable
-	// coordinates precomputed; rowIdx indexes them per dimension.
+	// rows holds the deduplicated materialised rows — the only copy the
+	// buyer keeps — with their queryable coordinates precomputed; rowIdx
+	// indexes them per dimension.
 	rows   []value.Row
 	coords [][]int64
 	seen   map[string]struct{}
@@ -118,12 +131,12 @@ type tableStore struct {
 	epoch uint64
 }
 
-// storeSnap is one immutable published state of the store: a map from local
-// table name to an immutable tableStore. Readers load the current snapshot
-// with a single atomic pointer read and never take a lock; writers build the
-// next snapshot from a clone and install it atomically. A reader therefore
-// always sees an internally consistent state — the one produced by some
-// prefix of the Record history — and never blocks behind a writer.
+// storeSnap is one immutable published state of the store: a map from
+// market table name to an immutable tableStore. Readers load the current
+// snapshot with a single atomic pointer read and never take a lock; writers
+// build the next snapshot from a clone and install it atomically. A reader
+// therefore always sees an internally consistent state — the one produced
+// by some prefix of the Record history — and never blocks behind a writer.
 type storeSnap struct {
 	tables map[string]*tableStore
 }
@@ -159,7 +172,8 @@ type Store struct {
 	recorded atomic.Int64
 }
 
-// New returns a semantic store materialising rows into db.
+// New returns a semantic store beside the buyer's local DBMS db. Bought rows
+// are materialised in the store itself; db holds the buyer's own tables.
 func New(db *storage.DB) *Store {
 	s := &Store{db: db}
 	s.snap.Store(&storeSnap{tables: make(map[string]*tableStore)})
@@ -177,14 +191,14 @@ func (s *Store) DB() *storage.DB { return s.db }
 // table returns the published tableStore for a market table name, or nil.
 // The result is immutable; callers read it without locking.
 func (s *Store) table(table string) *tableStore {
-	return s.snap.Load().tables[LocalTableName(table)]
+	return s.snap.Load().tables[table]
 }
 
 // cloneTableFor returns a writable copy of the table's published state (or a
 // fresh empty one) for the writer to mutate before publishing. Caller holds
 // s.wmu.
 func cloneTableFor(snap *storeSnap, meta *catalog.Table) *tableStore {
-	if ts, ok := snap.tables[LocalTableName(meta.Name)]; ok {
+	if ts, ok := snap.tables[meta.Name]; ok {
 		return ts.clone()
 	}
 	d := len(meta.QueryableAttrs())
@@ -198,11 +212,12 @@ func cloneTableFor(snap *storeSnap, meta *catalog.Table) *tableStore {
 
 // clone returns a writable copy of an immutable published tableStore.
 // Everything the mutation path touches in place — coverage entries (appended
-// AND tombstoned), edge indexes, the big-box list, the sorted row indexes —
-// is deep-copied. rows and coords are append-only, so the clone shares their
-// backing arrays: a writer appending at index len(published) never touches a
-// slot any published snapshot can read. The seen map is writer-only state
-// (readers never consult it) and is shared across clones.
+// AND tombstoned), edge indexes, the big-box list — is deep-copied. rows and
+// coords are append-only, so the clone shares their backing arrays: a writer
+// appending at index len(published) never touches a slot any published
+// snapshot can read. The row index slices are shared too: indexRows replaces
+// them with freshly merged ones and never writes into them. The seen map is
+// writer-only state (readers never consult it) and is shared across clones.
 func (ts *tableStore) clone() *tableStore {
 	cp := &tableStore{
 		meta:    ts.meta,
@@ -215,19 +230,13 @@ func (ts *tableStore) clone() *tableStore {
 		rows:    ts.rows,
 		coords:  ts.coords,
 		seen:    ts.seen,
-		rowIdx:  make([]rowDim, len(ts.rowIdx)),
+		rowIdx:  append([]rowDim(nil), ts.rowIdx...),
 		epoch:   ts.epoch,
 	}
 	for d := range ts.dims {
 		cp.dims[d] = dimIdx{
 			byLo:     append([]int(nil), ts.dims[d].byLo...),
 			maxWidth: ts.dims[d].maxWidth,
-		}
-	}
-	for d := range ts.rowIdx {
-		cp.rowIdx[d] = rowDim{
-			coords: append([]int64(nil), ts.rowIdx[d].coords...),
-			ids:    append([]int(nil), ts.rowIdx[d].ids...),
 		}
 	}
 	return cp
@@ -241,7 +250,7 @@ func (s *Store) publish(prev *storeSnap, updated ...*tableStore) {
 		next.tables[k] = v
 	}
 	for _, ts := range updated {
-		next.tables[LocalTableName(ts.meta.Name)] = ts
+		next.tables[ts.meta.Name] = ts
 	}
 	s.snap.Store(next)
 }
@@ -277,7 +286,7 @@ type RecordResult struct {
 func (r RecordResult) Compacted() int { return r.Absorbed + r.Merged }
 
 // Record stores the outcome of an executed call: its box, its exact row
-// count, and the rows themselves (deduplicated into the local DBMS).
+// count, and the rows themselves (deduplicated against those already held).
 //
 // Record is atomic with respect to the coverage index: every row's
 // coordinates are validated up front, and only when all of them resolve are
@@ -293,9 +302,7 @@ func (s *Store) Record(meta *catalog.Table, b region.Box, rows []value.Row, at t
 	if d := s.dur; d != nil {
 		return d.record(s, meta, b, rows, coords, at)
 	}
-	if err := s.applyRecord(meta, b, rows, coords, at, &res); err != nil {
-		return res, err
-	}
+	s.applyRecord(meta, b, rows, coords, at, &res)
 	s.recorded.Add(1)
 	return res, nil
 }
@@ -307,45 +314,18 @@ func validateRows(meta *catalog.Table, b region.Box, rows []value.Row) ([][]int6
 	if b.Empty() && len(rows) > 0 {
 		return nil, fmt.Errorf("semstore: non-empty result for empty box on %s", meta.Name)
 	}
-	coords := make([][]int64, len(rows))
-	for i, row := range rows {
-		if len(row) != len(meta.Schema) {
-			return nil, fmt.Errorf("semstore: %s: row has %d values, schema has %d",
-				meta.Name, len(row), len(meta.Schema))
-		}
-		cs, err := rowCoords(meta, row)
-		if err != nil {
-			return nil, err
-		}
-		coords[i] = cs
-	}
-	return coords, nil
+	return rowCoords(meta, rows)
 }
 
 // applyRecord installs one validated call — the state-mutating half of
 // Record, also the WAL replay entry point (replay must not re-append).
-func (s *Store) applyRecord(meta *catalog.Table, b region.Box, rows []value.Row, coords [][]int64, at time.Time, res *RecordResult) error {
-	tbl, err := s.db.Ensure(LocalTableName(meta.Name), meta.Schema)
-	if err != nil {
-		return err
-	}
-	if _, err := tbl.Insert(rows); err != nil {
-		return err
-	}
+func (s *Store) applyRecord(meta *catalog.Table, b region.Box, rows []value.Row, coords [][]int64, at time.Time, res *RecordResult) {
 	s.wmu.Lock()
 	defer s.wmu.Unlock()
 	snap := s.snap.Load()
 	ts := cloneTableFor(snap, meta)
 	ts.epoch++
-	for i, row := range rows {
-		k := row.Key()
-		if _, dup := ts.seen[k]; dup {
-			continue
-		}
-		ts.seen[k] = struct{}{}
-		ts.addRow(row.Clone(), coords[i])
-		res.Added++
-	}
+	res.Added = ts.addRows(rows, coords)
 	if !b.Empty() {
 		res.Dropped, res.Absorbed, res.Merged = ts.insertEntry(b.Clone(), at, int64(len(rows)))
 		if res.Dropped {
@@ -361,27 +341,87 @@ func (s *Store) applyRecord(meta *catalog.Table, b region.Box, rows []value.Row,
 		}
 	}
 	s.publish(snap, ts)
-	return nil
 }
 
-// addRow appends a validated, deduplicated row and indexes its coordinates.
-func (ts *tableStore) addRow(row value.Row, cs []int64) {
-	id := len(ts.rows)
-	ts.rows = append(ts.rows, row)
-	ts.coords = append(ts.coords, cs)
-	if len(cs) != len(ts.rowIdx) {
-		return // dimensionality drift; such rows are only found by full scans
+// addRows appends the validated rows not already materialised, then merges
+// their coordinates into the row index. It returns how many rows were new.
+func (ts *tableStore) addRows(rows []value.Row, coords [][]int64) int {
+	first := len(ts.rows)
+	for i, row := range rows {
+		k := row.Key()
+		if _, dup := ts.seen[k]; dup {
+			continue
+		}
+		ts.seen[k] = struct{}{}
+		ts.rows = append(ts.rows, row.Clone())
+		ts.coords = append(ts.coords, coords[i])
+	}
+	ts.indexRows(first)
+	return len(ts.rows) - first
+}
+
+// indexRows adds rows first.. to the per-dimension row index: per
+// dimension, sort the new ids by coordinate (stably, so equal coordinates
+// stay in insertion order), merge them into the tail run, and fold the tail
+// into base once it is long enough. Rows whose dimensionality drifted from
+// the table's stay out of the index; only full scans find them.
+func (ts *tableStore) indexRows(first int) {
+	var ids []int
+	for id := first; id < len(ts.rows); id++ {
+		if len(ts.coords[id]) == len(ts.rowIdx) {
+			ids = append(ids, id)
+		}
+	}
+	if len(ids) == 0 {
+		return
 	}
 	for d := range ts.rowIdx {
-		ri := &ts.rowIdx[d]
-		pos := sort.Search(len(ri.coords), func(i int) bool { return ri.coords[i] > cs[d] })
-		ri.coords = append(ri.coords, 0)
-		copy(ri.coords[pos+1:], ri.coords[pos:])
-		ri.coords[pos] = cs[d]
-		ri.ids = append(ri.ids, 0)
-		copy(ri.ids[pos+1:], ri.ids[pos:])
-		ri.ids[pos] = id
+		batch := rowRun{coords: make([]int64, len(ids)), ids: slices.Clone(ids)}
+		slices.SortStableFunc(batch.ids, func(a, b int) int {
+			return cmp.Compare(ts.coords[a][d], ts.coords[b][d])
+		})
+		for i, id := range batch.ids {
+			batch.coords[i] = ts.coords[id][d]
+		}
+		ri := ts.rowIdx[d]
+		ri.tail = mergeRuns(ri.tail, batch)
+		if len(ri.tail.ids)*tailFraction > len(ri.base.ids) {
+			ri = rowDim{base: mergeRuns(ri.base, ri.tail)}
+		}
+		ts.rowIdx[d] = ri
 	}
+}
+
+// mergeRuns merges run b into run a as a fresh run. Every id in b must
+// exceed every id in a, so equal coordinates keep a's entries first. When
+// either side is empty the other is returned as is: runs are immutable.
+func mergeRuns(a, b rowRun) rowRun {
+	if len(a.ids) == 0 {
+		return b
+	}
+	if len(b.ids) == 0 {
+		return a
+	}
+	n := len(a.ids) + len(b.ids)
+	out := rowRun{coords: make([]int64, 0, n), ids: make([]int, 0, n)}
+	i := 0
+	for j, c := range b.coords {
+		// Copy the stretch of a at or below c in one step.
+		k := i + sort.Search(len(a.coords)-i, func(x int) bool { return a.coords[i+x] > c })
+		out.coords = append(append(out.coords, a.coords[i:k]...), c)
+		out.ids = append(append(out.ids, a.ids[i:k]...), b.ids[j])
+		i = k
+	}
+	out.coords = append(out.coords, a.coords[i:]...)
+	out.ids = append(out.ids, a.ids[i:]...)
+	return out
+}
+
+// span returns the positions of the run's coordinates inside iv.
+func (r rowRun) span(iv region.Interval) (lo, hi int) {
+	lo = sort.Search(len(r.coords), func(i int) bool { return r.coords[i] >= iv.Lo })
+	hi = lo + sort.Search(len(r.coords)-lo, func(i int) bool { return r.coords[lo+i] >= iv.Hi })
+	return lo, hi
 }
 
 // insertEntry adds a coverage box, compacting as it goes. Caller holds the
@@ -817,29 +857,39 @@ func (s *Store) Covered(table string, q region.Box, since time.Time) bool {
 	return len(s.Remainder(table, q, since)) == 0
 }
 
-// rowCoords maps a row onto its queryable-space coordinates.
-func rowCoords(meta *catalog.Table, row value.Row) ([]int64, error) {
+// rowCoords maps rows onto their queryable-space coordinates, resolving
+// the table's queryable attributes once for the whole batch. A row whose
+// width differs from the schema's fails the batch.
+func rowCoords(meta *catalog.Table, rows []value.Row) ([][]int64, error) {
 	qidx := meta.QueryableIdx()
 	qa := meta.QueryableAttrs()
-	cs := make([]int64, len(qa))
-	for i, a := range qa {
-		c, err := a.Coord(row[qidx[i]])
-		if err != nil {
-			return nil, err
+	out := make([][]int64, len(rows))
+	for r, row := range rows {
+		if len(row) != len(meta.Schema) {
+			return nil, fmt.Errorf("semstore: %s: row has %d values, schema has %d",
+				meta.Name, len(row), len(meta.Schema))
 		}
-		cs[i] = c
+		cs := make([]int64, len(qa))
+		for i, a := range qa {
+			c, err := a.Coord(row[qidx[i]])
+			if err != nil {
+				return nil, err
+			}
+			cs[i] = c
+		}
+		out[r] = cs
 	}
-	return cs, nil
+	return out, nil
 }
 
 // RowBox maps a row of the table onto its point box in queryable space.
 func RowBox(meta *catalog.Table, row value.Row) (region.Box, error) {
-	cs, err := rowCoords(meta, row)
+	cs, err := rowCoords(meta, []value.Row{row})
 	if err != nil {
 		return region.Box{}, err
 	}
-	dims := make([]region.Interval, len(cs))
-	for i, c := range cs {
+	dims := make([]region.Interval, len(cs[0]))
+	for i, c := range cs[0] {
 		dims[i] = region.Point(c)
 	}
 	return region.Box{Dims: dims}, nil
@@ -869,23 +919,20 @@ func (ts *tableStore) rowCandidates(q region.Box) (ids []int, ok bool) {
 		return nil, false
 	}
 	best := -1
-	var seg *rowDim
-	var lo, hi int
+	var segs [2][]int // the narrowest dimension's base and tail stretches
 	for k := 0; k < d; k++ {
 		ri := &ts.rowIdx[k]
-		qd := q.Dims[k]
-		l := sort.Search(len(ri.coords), func(i int) bool { return ri.coords[i] >= qd.Lo })
-		h := sort.Search(len(ri.coords), func(i int) bool { return ri.coords[i] >= qd.Hi })
-		if best < 0 || h-l < best {
-			best, seg, lo, hi = h-l, ri, l, h
+		bl, bh := ri.base.span(q.Dims[k])
+		tl, th := ri.tail.span(q.Dims[k])
+		if n := bh - bl + th - tl; best < 0 || n < best {
+			best, segs = n, [2][]int{ri.base.ids[bl:bh], ri.tail.ids[tl:th]}
 		}
 	}
-	if best < 0 {
-		return nil, false
-	}
-	for _, id := range seg.ids[lo:hi] {
-		if ts.rowMatches(id, q) {
-			ids = append(ids, id)
+	for _, seg := range segs {
+		for _, id := range seg {
+			if ts.rowMatches(id, q) {
+				ids = append(ids, id)
+			}
 		}
 	}
 	sort.Ints(ids) // emit in insertion order, as a full scan would
@@ -951,11 +998,11 @@ scan:
 
 // StoredRowCount returns the total number of materialised rows for a table.
 func (s *Store) StoredRowCount(table string) int {
-	tbl, ok := s.db.Lookup(LocalTableName(table))
-	if !ok {
+	ts := s.table(table)
+	if ts == nil {
 		return 0
 	}
-	return tbl.Len()
+	return len(ts.rows)
 }
 
 // Stats is a point-in-time snapshot of the store's size and its lifetime
