@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"io"
 	"time"
+
+	"payless/internal/obs"
 )
 
 // AuditRecord is one line of the query audit log: what was asked, what plan
@@ -64,7 +66,7 @@ func (c *Client) writeAudit(sql string, res *Result) {
 	}
 	line, err := json.Marshal(rec)
 	if err != nil {
-		c.metrics.ObserveAuditDrop()
+		c.metrics.Add(obs.AuditDropped, 1)
 		return
 	}
 	line = append(line, '\n')
@@ -72,6 +74,6 @@ func (c *Client) writeAudit(sql string, res *Result) {
 	n, err := w.Write(line)
 	c.mu.Unlock()
 	if err != nil || n != len(line) {
-		c.metrics.ObserveAuditDrop()
+		c.metrics.Add(obs.AuditDropped, 1)
 	}
 }

@@ -6,6 +6,7 @@ import (
 
 	"payless/internal/core"
 	"payless/internal/engine"
+	"payless/internal/obs"
 	"payless/internal/region"
 	"payless/internal/rewrite"
 	"payless/internal/sqlparse"
@@ -83,7 +84,7 @@ func (c *Client) QueryBatch(sqls []string) ([]BatchResult, error) {
 		execStart := time.Now()
 		rel, report, err := eng.Execute(pick.plan)
 		if err != nil {
-			c.metrics.ObserveQueryError()
+			c.metrics.Add(obs.QueryErrors, 1)
 			return nil, &BatchError{Index: pick.p.idx, Err: stageErr(StageExecute, err)}
 		}
 		c.metrics.ObserveQuery(time.Since(execStart)+pick.plan.Optimized, pick.plan.Optimized,

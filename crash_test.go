@@ -159,8 +159,8 @@ func snapshotRecords(data []byte) int64 {
 // the torn model every completed op counts.
 func durableLowBound(ops []diskfault.Op, k int, strict bool) int64 {
 	var (
-		walTop     int64            // highest seq in the volatile log
-		walDurable int64            // highest seq the log guarantees
+		walTop     int64 // highest seq in the volatile log
+		walDurable int64 // highest seq the log guarantees
 		files      = map[string][]byte{}
 		renamed    = map[string]int64{} // snapshot records awaiting dir sync
 		snapRecs   int64

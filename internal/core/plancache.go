@@ -251,7 +251,7 @@ func (c *PlanCache) Get(key string, epochOf func(table string) uint64, statsVers
 		c.misses++
 		m := c.metrics
 		c.mu.Unlock()
-		m.ObservePlanCacheLookup(false, false)
+		m.Add(obs.PlanCacheMisses, 1)
 		return nil
 	}
 	sk := el.Value.(*PlanSkeleton)
@@ -262,14 +262,14 @@ func (c *PlanCache) Get(key string, epochOf func(table string) uint64, statsVers
 		c.misses++
 		m := c.metrics
 		c.mu.Unlock()
-		m.ObservePlanCacheLookup(false, true)
+		m.AddAll(obs.PlanCacheMisses.By(1), obs.PlanCacheInvalidations.By(1))
 		return nil
 	}
 	c.ll.MoveToFront(el)
 	c.hits++
 	m := c.metrics
 	c.mu.Unlock()
-	m.ObservePlanCacheLookup(true, false)
+	m.Add(obs.PlanCacheHits, 1)
 	return sk
 }
 
@@ -297,7 +297,7 @@ func (c *PlanCache) Put(sk *PlanSkeleton) {
 	m := c.metrics
 	c.mu.Unlock()
 	if evicted {
-		m.ObservePlanCacheEviction()
+		m.Add(obs.PlanCacheEvictions, 1)
 	}
 }
 

@@ -523,8 +523,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		counts[k] = v
 	}
 	s.shedmu.Unlock()
-	obs.WriteCounterHead(w, "paylessd", "shed_total", "Requests shed by the admission layer, by reason.")
+	obs.WriteFamilyHead(w, "paylessd", "shed_total", "Requests shed by the admission layer, by reason.", "counter")
 	for _, reason := range shedReasons {
-		obs.WriteLabeledCounter(w, "paylessd", "shed_total", "reason", reason, counts[reason])
+		obs.WriteLabeledSample(w, "paylessd", "shed_total", "reason", reason, counts[reason])
 	}
 }

@@ -79,16 +79,16 @@ func (b *Breaker) Acquire() (release func(callErr error), err error) {
 	switch b.state {
 	case breakerOpen:
 		if since := b.now().Sub(b.openedAt); since < b.cooldown {
-			b.metrics.ObserveBreakerShortCircuit()
+			b.metrics.Add(obs.BreakerShortCircuits, 1)
 			return nil, &CircuitOpenError{RetryAfter: b.cooldown - since}
 		}
 		// Cooldown elapsed: half-open, this caller is the probe. Concurrent
 		// callers keep short-circuiting until the probe resolves.
 		b.state = breakerHalfOpen
-		b.metrics.ObserveBreakerProbe()
+		b.metrics.Add(obs.BreakerProbes, 1)
 		return b.releaseProbe, nil
 	case breakerHalfOpen:
-		b.metrics.ObserveBreakerShortCircuit()
+		b.metrics.Add(obs.BreakerShortCircuits, 1)
 		return nil, &CircuitOpenError{}
 	default:
 		return b.releaseClosed, nil
@@ -137,7 +137,7 @@ func (b *Breaker) trip() {
 	b.state = breakerOpen
 	b.failures = 0
 	b.openedAt = b.now()
-	b.metrics.ObserveBreakerOpen()
+	b.metrics.Add(obs.BreakerOpens, 1)
 }
 
 // BreakerSet holds one Breaker per dataset, lazily created. A nil *BreakerSet

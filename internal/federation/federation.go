@@ -287,7 +287,7 @@ func (f *Caller) Call(ctx context.Context, q catalog.AccessQuery) (market.Result
 		overload.Grant(ctx, overload.GrantPerCall)
 	}
 	market.EnsureCallID(&q)
-	f.cfg.Metrics.ObserveFederationCall()
+	f.cfg.Metrics.Add(obs.FederationCalls, 1)
 
 	ranked := f.rank(q)
 	if len(ranked) == 0 {
@@ -367,14 +367,14 @@ func (f *Caller) Call(ctx context.Context, q catalog.AccessQuery) (market.Result
 			// attempt keeps running alone.
 			if overload.Spend(ctx, 1) && launchNext(true) {
 				hedged = true
-				f.cfg.Metrics.ObserveFederationHedge()
+				f.cfg.Metrics.Add(obs.FederationHedges, 1)
 			}
 		case r := <-results:
 			inflight--
 			if r.err == nil {
 				cancel() // the losing hedge is abandoned; any bill it landed is the lost-call remainder
 				if r.hedge {
-					f.cfg.Metrics.ObserveFederationHedgeWin()
+					f.cfg.Metrics.Add(obs.FederationHedgeWins, 1)
 				}
 				obs.CallFromContext(ctx).SetFederation(r.ep.Name, failovers, hedged, r.hedge)
 				return r.res, nil
@@ -393,7 +393,7 @@ func (f *Caller) Call(ctx context.Context, q catalog.AccessQuery) (market.Result
 			}
 			lastErr = fmt.Errorf("federation: endpoint %s: %w", r.ep.Name, r.err)
 			failovers++
-			f.cfg.Metrics.ObserveFederationFailover()
+			f.cfg.Metrics.Add(obs.FederationFailovers, 1)
 			// Fail over only when nothing else is racing: with a hedge in
 			// flight, the hedge already is the next endpoint. A failover is
 			// an extra attempt like any other — it must be funded by the
@@ -416,7 +416,7 @@ func (f *Caller) Call(ctx context.Context, q catalog.AccessQuery) (market.Result
 // re-probe time and matches errors.Is(err, engine.ErrCircuitOpen) so
 // user-facing transports can answer 503 + Retry-After.
 func (f *Caller) exhausted(q catalog.AccessQuery, total, refused int, minRetry time.Duration, lastErr error) error {
-	f.cfg.Metrics.ObserveFederationExhausted()
+	f.cfg.Metrics.Add(obs.FederationExhausted, 1)
 	if refused == total {
 		if minRetry < 0 {
 			minRetry = 0

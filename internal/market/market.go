@@ -57,35 +57,6 @@ func (f CallerFunc) Call(ctx context.Context, q catalog.AccessQuery) (Result, er
 	return f(ctx, q)
 }
 
-// ContextCaller is the pre-unification name for the context-aware caller.
-// The dual Caller/ContextCaller split is gone: Caller itself is context-first.
-//
-// Deprecated: use Caller.
-type ContextCaller = Caller
-
-// LegacyCaller is the pre-unification context-free caller shape. Nothing in
-// this module implements it any more; it exists so external callers written
-// against the old interface migrate mechanically through Legacy.
-//
-// Deprecated: implement Caller directly.
-type LegacyCaller interface {
-	Call(q catalog.AccessQuery) (Result, error)
-}
-
-// Legacy adapts a pre-unification context-free caller to the unified
-// interface. The context only gates admission — a legacy call in flight
-// cannot be interrupted.
-//
-// Deprecated: implement Caller directly.
-func Legacy(c LegacyCaller) Caller {
-	return CallerFunc(func(ctx context.Context, q catalog.AccessQuery) (Result, error) {
-		if err := ctx.Err(); err != nil {
-			return Result{}, err
-		}
-		return c.Call(q)
-	})
-}
-
 // Do dispatches one call through c. A nil or already-cancelled context fails
 // before any money is spent. Kept as a convenience for call sites that may
 // hold a nil context; everything else should call c.Call directly.
@@ -416,7 +387,7 @@ func (m *Market) execute(accountKey string, q catalog.AccessQuery) (Result, bool
 		return Result{}, false, fmt.Errorf("unknown account key %q", accountKey)
 	}
 	if replayed {
-		m.metrics.ObserveReplayedCall()
+		m.metrics.Add(obs.ReplayedCalls, 1)
 		return prev, true, nil
 	}
 	ds, mt, err := m.lookup(q.Dataset, q.Table)
@@ -458,7 +429,7 @@ func (m *Market) execute(accountKey string, q catalog.AccessQuery) (Result, bool
 		if q.CallID != "" {
 			if prev, ok := acc.ledger.get(q.CallID); ok {
 				m.accMu.Unlock()
-				m.metrics.ObserveReplayedCall()
+				m.metrics.Add(obs.ReplayedCalls, 1)
 				return prev, true, nil
 			}
 		}
@@ -471,7 +442,8 @@ func (m *Market) execute(accountKey string, q catalog.AccessQuery) (Result, bool
 		}
 	}
 	m.accMu.Unlock()
-	m.metrics.ObserveCall(time.Since(start), int64(records), trans, price)
+	m.metrics.AddSpend(1, int64(records), trans, price, false)
+	m.metrics.Observe(obs.CallLatency, time.Since(start))
 
 	return res, false, nil
 }

@@ -4,14 +4,16 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"reflect"
 	"sort"
+	"strings"
 	"sync"
 	"time"
 )
 
 // latencyBuckets are the histogram upper bounds. Market round-trips live in
 // the 1ms–10s range; everything slower lands in +Inf.
-var latencyBuckets = []time.Duration{
+var latencyBuckets = [...]time.Duration{
 	time.Millisecond,
 	2 * time.Millisecond,
 	5 * time.Millisecond,
@@ -31,17 +33,19 @@ var latencyBuckets = []time.Duration{
 // (non-cumulative, one overflow bucket at the end); snapshots and the
 // Prometheus rendering cumulate.
 type histogram struct {
-	counts []int64
+	counts [len(latencyBuckets) + 1]int64
 	count  int64
 	sum    time.Duration
 }
 
-func (h *histogram) observe(d time.Duration) {
-	if h.counts == nil {
-		h.counts = make([]int64, len(latencyBuckets)+1)
-	}
-	i := sort.Search(len(latencyBuckets), func(i int) bool { return d <= latencyBuckets[i] })
-	h.counts[i]++
+// bucketOf is the index of d's bucket, len(latencyBuckets) for the
+// overflow. Hot paths compute it before taking the registry lock.
+func bucketOf(d time.Duration) int {
+	return sort.Search(len(latencyBuckets), func(i int) bool { return d <= latencyBuckets[i] })
+}
+
+func (h *histogram) observe(bucket int, d time.Duration) {
+	h.counts[bucket]++
 	h.count++
 	h.sum += d
 }
@@ -50,9 +54,7 @@ func (h *histogram) snapshot() HistogramSnapshot {
 	s := HistogramSnapshot{Count: h.count, Sum: h.sum}
 	var cum int64
 	for i, le := range latencyBuckets {
-		if h.counts != nil {
-			cum += h.counts[i]
-		}
+		cum += h.counts[i]
 		s.Buckets = append(s.Buckets, Bucket{Le: le, Count: cum})
 	}
 	return s
@@ -90,87 +92,331 @@ func (s HistogramSnapshot) Quantile(q float64) time.Duration {
 	return s.Sum / time.Duration(s.Count)
 }
 
-// Metrics accumulates process-wide counters and latency histograms. One
-// instance serves a Client (buyer side) or a Market (seller side); unused
-// families simply stay zero. Safe for concurrent use.
+// Snapshot is a point-in-time copy of every counter, gauge and histogram.
+// It is also the registry's declaration: each field is one Prometheus
+// family, named by its `metric` tag (",gauge" marks a level rather than a
+// cumulative count) and described by its `help` tag. int64 fields are
+// counters or gauges, float64 fields are money counters and
+// HistogramSnapshot fields are latency histograms. Families render in field
+// order.
+type Snapshot struct {
+	// Queries and QueryErrors count finished and failed queries.
+	Queries     int64 `metric:"queries_total" help:"Queries executed."`
+	QueryErrors int64 `metric:"query_errors_total" help:"Queries that failed."`
+	// Calls/Records/Transactions/Price are the cumulative market bill.
+	Calls        int64   `metric:"calls_total" help:"RESTful market calls."`
+	Records      int64   `metric:"records_total" help:"Records returned by market calls."`
+	Transactions int64   `metric:"transactions_total" help:"Transactions billed (ceil(records/t) per call)."`
+	Price        float64 `metric:"price_total" help:"Money billed across all calls."`
+	// Retries counts extra transport attempts across all calls.
+	Retries int64 `metric:"call_retries_total" help:"Extra transport attempts beyond the first."`
+	// StoreHits counts plan accesses served entirely from the semantic
+	// store; StoreHitRows the rows served locally instead of bought.
+	StoreHits    int64 `metric:"store_hits_total" help:"Plan accesses served entirely from the semantic store."`
+	StoreHitRows int64 `metric:"store_hit_rows_total" help:"Rows served from the semantic store instead of bought."`
+	// StoreLookups counts indexed coverage lookups, StoreLookupMicros their
+	// cumulative duration, StorePrunedBoxes the stored boxes index pruning
+	// skipped, and StoreFastPathHits lookups answered by a single containing
+	// box. StoreDroppedEntries and StoreCompactedEntries count compaction:
+	// new entries dropped as redundant and stored entries absorbed/merged.
+	StoreLookups          int64 `metric:"store_lookups_total" help:"Indexed semantic-store coverage lookups."`
+	StoreLookupMicros     int64 `metric:"store_lookup_micros_total" help:"Cumulative coverage-lookup wall-clock microseconds."`
+	StorePrunedBoxes      int64 `metric:"store_pruned_boxes_total" help:"Stored boxes skipped by index pruning before subtraction."`
+	StoreFastPathHits     int64 `metric:"store_fastpath_total" help:"Coverage lookups answered by a single containing box."`
+	StoreDroppedEntries   int64 `metric:"store_dropped_entries_total" help:"New coverage entries dropped as redundant on Record."`
+	StoreCompactedEntries int64 `metric:"store_compacted_entries_total" help:"Stored coverage entries absorbed or merged by compaction."`
+
+	// ReplayedCalls counts retried calls the replay ledger served without
+	// re-billing (seller side).
+	ReplayedCalls int64 `metric:"replayed_calls_total" help:"Retried calls served from the replay ledger without re-billing."`
+	// BreakerOpens/BreakerShortCircuits/BreakerProbes count circuit-breaker
+	// activity in the engine's fetch path (buyer side): breakers tripping
+	// open, calls refused while open, and half-open probes let through.
+	BreakerOpens         int64 `metric:"breaker_opens_total" help:"Circuit breakers tripped open."`
+	BreakerShortCircuits int64 `metric:"breaker_short_circuits_total" help:"Calls refused locally while a dataset's breaker was open."`
+	BreakerProbes        int64 `metric:"breaker_probes_total" help:"Half-open probe calls let through after a breaker cooldown."`
+	// FailedQuerySpendTransactions/Price total the spend of queries that
+	// ultimately failed — money salvaged into the semantic store.
+	FailedQuerySpendTransactions int64   `metric:"failed_query_spend_transactions_total" help:"Transactions billed to queries that ultimately failed."`
+	FailedQuerySpendPrice        float64 `metric:"failed_query_spend_price_total" help:"Money billed to queries that ultimately failed."`
+
+	// WALAppends/WALAppendBytes/WALAppendMicros count write-ahead-log
+	// appends in durable mode; WALSyncedAppends those fsynced before
+	// Record returned. WALReplays counts recoveries, WALReplayedRecords
+	// and WALSkippedRecords their applied/already-covered frames, and
+	// WALTornTails recoveries that truncated a torn log tail.
+	WALAppends         int64 `metric:"wal_appends_total" help:"Write-ahead-log appends in durable mode."`
+	WALAppendBytes     int64 `metric:"wal_append_bytes_total" help:"Payload bytes appended to the write-ahead log."`
+	WALAppendMicros    int64 `metric:"wal_append_micros_total" help:"Cumulative WAL append wall-clock microseconds (including fsyncs)."`
+	WALSyncedAppends   int64 `metric:"wal_synced_appends_total" help:"WAL appends fsynced before Record returned."`
+	WALReplays         int64 `metric:"wal_replays_total" help:"Durable-store recoveries that replayed the log."`
+	WALReplayedRecords int64 `metric:"wal_replayed_records_total" help:"WAL records applied during recovery."`
+	WALSkippedRecords  int64 `metric:"wal_skipped_records_total" help:"WAL records skipped as already covered by the loaded snapshot."`
+	WALTornTails       int64 `metric:"wal_torn_tails_total" help:"Recoveries that truncated a torn WAL tail."`
+	// Checkpoints/CheckpointBytes/CheckpointMicros count successful
+	// snapshot checkpoints; CheckpointFailures the attempts that failed
+	// (and left the log intact).
+	Checkpoints        int64 `metric:"checkpoints_total" help:"Snapshot checkpoints completed."`
+	CheckpointFailures int64 `metric:"checkpoint_failures_total" help:"Snapshot checkpoints that failed (log left intact)."`
+	CheckpointBytes    int64 `metric:"checkpoint_bytes_total" help:"Bytes written by snapshot checkpoints."`
+	CheckpointMicros   int64 `metric:"checkpoint_micros_total" help:"Cumulative checkpoint wall-clock microseconds."`
+	// AuditDropped counts audit records lost to sink write failures.
+	AuditDropped int64 `metric:"audit_dropped_total" help:"Audit records lost to sink write failures."`
+
+	// PlanCacheHits/Misses count plan-template cache lookups; Invalidations
+	// entries discarded because a coverage epoch or the stats version moved
+	// (each also a miss); Evictions entries displaced by the LRU capacity.
+	// PlansCached/Greedy/DP count queries by the planning strategy that
+	// produced their plan.
+	PlanCacheHits          int64 `metric:"plan_cache_hits_total" help:"Plan-template cache lookups served from cache."`
+	PlanCacheMisses        int64 `metric:"plan_cache_misses_total" help:"Plan-template cache lookups that missed."`
+	PlanCacheInvalidations int64 `metric:"plan_cache_invalidations_total" help:"Cached plan skeletons discarded as stale (coverage epoch or stats version moved)."`
+	PlanCacheEvictions     int64 `metric:"plan_cache_evictions_total" help:"Cached plan skeletons displaced by the LRU capacity."`
+	PlansCached            int64 `metric:"plans_cached_total" help:"Queries planned from the plan-template cache."`
+	PlansGreedy            int64 `metric:"plans_greedy_total" help:"Queries planned by the greedy fast path."`
+	PlansDP                int64 `metric:"plans_dp_total" help:"Queries planned by the full dynamic program."`
+
+	// SchedSingleflightHits counts calls served by joining an identical
+	// in-flight call; SchedMergedCalls wire calls fused out of several
+	// cross-query boxes; SchedMergedTransactionsSaved the transactions the
+	// merges saved versus billing the parts; SchedDelayedCalls the fetches
+	// parked in the coalesce window.
+	SchedSingleflightHits        int64 `metric:"sched_singleflight_hits_total" help:"Calls served by joining an identical in-flight market call."`
+	SchedMergedCalls             int64 `metric:"sched_merged_calls_total" help:"Wire calls the scheduler fused out of several cross-query boxes."`
+	SchedMergedTransactionsSaved int64 `metric:"sched_merged_transactions_saved_total" help:"Transactions saved by merged calls versus billing the parts."`
+	SchedDelayedCalls            int64 `metric:"sched_delayed_calls_total" help:"Fetches parked in the coalesce window to accumulate merge candidates."`
+
+	// FederationCalls counts market calls routed through the federation
+	// layer; FederationFailovers endpoint attempts that hard-failed and
+	// moved the call to the next-cheapest healthy endpoint;
+	// FederationHedges hedge attempts launched after HedgeAfter;
+	// FederationHedgeWins hedges whose secondary answered first; and
+	// FederationExhausted calls that failed on every configured endpoint.
+	FederationCalls     int64 `metric:"federation_calls_total" help:"Market calls routed through the federation layer."`
+	FederationFailovers int64 `metric:"federation_failovers_total" help:"Endpoint attempts that hard-failed and failed over to the next endpoint."`
+	FederationHedges    int64 `metric:"federation_hedged_calls_total" help:"Hedge attempts launched after the primary exceeded HedgeAfter."`
+	FederationHedgeWins int64 `metric:"federation_hedge_wins_total" help:"Hedges whose secondary endpoint answered first."`
+	FederationExhausted int64 `metric:"federation_exhausted_total" help:"Calls that failed on every configured endpoint."`
+
+	// InflightQueries and QueueDepth are gauges: queries currently executing
+	// and requests currently parked waiting for an execution slot.
+	InflightQueries int64 `metric:"inflight_queries,gauge" help:"Queries currently executing."`
+	QueueDepth      int64 `metric:"queue_depth,gauge" help:"Requests currently queued for an execution slot."`
+
+	QueryLatency    HistogramSnapshot `metric:"query_duration_seconds" help:"End-to-end query latency."`
+	CallLatency     HistogramSnapshot `metric:"call_duration_seconds" help:"Market call latency (including retries and paging)."`
+	OptimizeLatency HistogramSnapshot `metric:"optimize_duration_seconds" help:"Optimizer latency per query."`
+}
+
+// Counter is a handle on one int64 family of Snapshot: a cumulative
+// counter, or a gauge that moves both ways through the same Add.
+type Counter struct{ slot int }
+
+// Histogram is a handle on one latency-histogram family of Snapshot.
+type Histogram struct{ slot int }
+
+// The family handles, resolved by Snapshot field name at package init: a
+// misspelt name panics at startup rather than counting nowhere.
+var (
+	Queries                      = counter("Queries")
+	QueryErrors                  = counter("QueryErrors")
+	Calls                        = counter("Calls")
+	Records                      = counter("Records")
+	Transactions                 = counter("Transactions")
+	Retries                      = counter("Retries")
+	StoreHits                    = counter("StoreHits")
+	StoreHitRows                 = counter("StoreHitRows")
+	StoreLookups                 = counter("StoreLookups")
+	StoreLookupMicros            = counter("StoreLookupMicros")
+	StorePrunedBoxes             = counter("StorePrunedBoxes")
+	StoreFastPathHits            = counter("StoreFastPathHits")
+	StoreDroppedEntries          = counter("StoreDroppedEntries")
+	StoreCompactedEntries        = counter("StoreCompactedEntries")
+	ReplayedCalls                = counter("ReplayedCalls")
+	BreakerOpens                 = counter("BreakerOpens")
+	BreakerShortCircuits         = counter("BreakerShortCircuits")
+	BreakerProbes                = counter("BreakerProbes")
+	FailedQuerySpendTransactions = counter("FailedQuerySpendTransactions")
+	WALAppends                   = counter("WALAppends")
+	WALAppendBytes               = counter("WALAppendBytes")
+	WALAppendMicros              = counter("WALAppendMicros")
+	WALSyncedAppends             = counter("WALSyncedAppends")
+	WALReplays                   = counter("WALReplays")
+	WALReplayedRecords           = counter("WALReplayedRecords")
+	WALSkippedRecords            = counter("WALSkippedRecords")
+	WALTornTails                 = counter("WALTornTails")
+	Checkpoints                  = counter("Checkpoints")
+	CheckpointFailures           = counter("CheckpointFailures")
+	CheckpointBytes              = counter("CheckpointBytes")
+	CheckpointMicros             = counter("CheckpointMicros")
+	AuditDropped                 = counter("AuditDropped")
+	PlanCacheHits                = counter("PlanCacheHits")
+	PlanCacheMisses              = counter("PlanCacheMisses")
+	PlanCacheInvalidations       = counter("PlanCacheInvalidations")
+	PlanCacheEvictions           = counter("PlanCacheEvictions")
+	PlansCached                  = counter("PlansCached")
+	PlansGreedy                  = counter("PlansGreedy")
+	PlansDP                      = counter("PlansDP")
+	SchedSingleflightHits        = counter("SchedSingleflightHits")
+	SchedMergedCalls             = counter("SchedMergedCalls")
+	SchedMergedTransactionsSaved = counter("SchedMergedTransactionsSaved")
+	SchedDelayedCalls            = counter("SchedDelayedCalls")
+	FederationCalls              = counter("FederationCalls")
+	FederationFailovers          = counter("FederationFailovers")
+	FederationHedges             = counter("FederationHedges")
+	FederationHedgeWins          = counter("FederationHedgeWins")
+	FederationExhausted          = counter("FederationExhausted")
+	InflightQueries              = counter("InflightQueries")
+	QueueDepth                   = counter("QueueDepth")
+
+	QueryLatency    = Histogram{slotOf("QueryLatency", kindHist)}
+	CallLatency     = Histogram{slotOf("CallLatency", kindHist)}
+	OptimizeLatency = Histogram{slotOf("OptimizeLatency", kindHist)}
+
+	// The money families' float slots; only AddSpend writes them.
+	billPrice       = slotOf("Price", kindFloat)
+	failedBillPrice = slotOf("FailedQuerySpendPrice", kindFloat)
+)
+
+// kind is how a family's value is stored and rendered, by its field type.
+type kind int
+
+const (
+	kindInt kind = iota
+	kindFloat
+	kindHist
+	numKinds
+)
+
+// family is one declared Snapshot field.
+type family struct {
+	field      int    // Snapshot field index
+	goName     string // Snapshot field name, what handles resolve by
+	name, help string
+	typ        string // Prometheus TYPE: counter, gauge or histogram
+	kind       kind
+	slot       int // index into the Metrics slice of its kind
+}
+
+// families is the registry, read once from Snapshot's struct tags; slots
+// counts the storage each kind needs.
+var families, slots = declare()
+
+func declare() ([]family, [numKinds]int) {
+	var fams []family
+	var n [numKinds]int
+	t := reflect.TypeOf(Snapshot{})
+	for i := 0; i < t.NumField(); i++ {
+		f := t.Field(i)
+		name, opt, _ := strings.Cut(f.Tag.Get("metric"), ",")
+		fam := family{field: i, goName: f.Name, name: name, help: f.Tag.Get("help"), typ: "counter"}
+		switch f.Type {
+		case reflect.TypeOf(int64(0)):
+			fam.kind = kindInt
+			if opt == "gauge" {
+				fam.typ = "gauge"
+			}
+		case reflect.TypeOf(float64(0)):
+			fam.kind = kindFloat
+		case reflect.TypeOf(HistogramSnapshot{}):
+			fam.kind, fam.typ = kindHist, "histogram"
+		default:
+			panic("obs: Snapshot field " + f.Name + " has no metric kind")
+		}
+		if name == "" || fam.help == "" {
+			panic("obs: Snapshot field " + f.Name + " lacks a metric or help tag")
+		}
+		fam.slot = n[fam.kind]
+		n[fam.kind]++
+		fams = append(fams, fam)
+	}
+	return fams, n
+}
+
+// slotOf resolves a handle by Snapshot field name, panicking on a name that
+// is not a family of kind k.
+func slotOf(field string, k kind) int {
+	for _, f := range families {
+		if f.goName == field && f.kind == k {
+			return f.slot
+		}
+	}
+	panic("obs: no metric family for Snapshot field " + field)
+}
+
+func counter(field string) Counter { return Counter{slotOf(field, kindInt)} }
+
+// Delta is one increment of an AddAll batch.
+type Delta struct {
+	c Counter
+	n int64
+}
+
+// By pairs the family with an increment for AddAll.
+func (c Counter) By(n int64) Delta { return Delta{c, n} }
+
+// Flag is 1 for true and 0 for false: a yes/no outcome as an increment.
+func Flag(b bool) int64 {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// Metrics accumulates the families Snapshot declares. One instance serves a
+// Client (buyer side) or a Market (seller side); unused families simply
+// stay zero. Each method takes the mutex once, whatever number of
+// families it moves. Safe for concurrent use; a nil *Metrics ignores
+// every observation. Create one with NewMetrics.
 type Metrics struct {
-	mu sync.Mutex
-
-	queries     int64
-	queryErrors int64
-
-	calls        int64
-	records      int64
-	transactions int64
-	price        float64
-	retries      int64
-
-	storeHits    int64
-	storeHitRows int64
-
-	storeLookups      int64
-	storeLookupMicros int64
-	storePrunedBoxes  int64
-	storeFastPath     int64
-	storeDropped      int64
-	storeCompacted    int64
-
-	replayedCalls int64
-
-	breakerOpens         int64
-	breakerShortCircuits int64
-	breakerProbes        int64
-
-	failedQuerySpendTransactions int64
-	failedQuerySpendPrice        float64
-
-	walAppends         int64
-	walAppendBytes     int64
-	walAppendMicros    int64
-	walSyncedAppends   int64
-	walReplays         int64
-	walReplayedRecords int64
-	walSkippedRecords  int64
-	walTornTails       int64
-
-	checkpoints        int64
-	checkpointFailures int64
-	checkpointBytes    int64
-	checkpointMicros   int64
-
-	auditDropped int64
-
-	planCacheHits          int64
-	planCacheMisses        int64
-	planCacheInvalidations int64
-	planCacheEvictions     int64
-	plansCached            int64
-	plansGreedy            int64
-	plansDP                int64
-
-	schedSingleflightHits        int64
-	schedMergedCalls             int64
-	schedMergedTransactionsSaved int64
-	schedDelayedCalls            int64
-
-	federationCalls     int64
-	federationFailovers int64
-	federationHedges    int64
-	federationHedgeWins int64
-	federationExhausted int64
-
-	// Gauges (instantaneous levels, not cumulative): queries currently
-	// executing and requests currently parked in an admission queue.
-	inflight   int64
-	queueDepth int64
-
-	queryLatency    histogram
-	callLatency     histogram
-	optimizeLatency histogram
+	mu     sync.Mutex
+	ints   []int64
+	floats []float64
+	hists  []histogram
 }
 
 // NewMetrics returns an empty registry.
-func NewMetrics() *Metrics { return &Metrics{} }
+func NewMetrics() *Metrics {
+	return &Metrics{
+		ints:   make([]int64, slots[kindInt]),
+		floats: make([]float64, slots[kindFloat]),
+		hists:  make([]histogram, slots[kindHist]),
+	}
+}
+
+// Add moves one counter or gauge by n.
+func (m *Metrics) Add(c Counter, n int64) {
+	if m == nil {
+		return
+	}
+	m.mu.Lock()
+	m.ints[c.slot] += n
+	m.mu.Unlock()
+}
+
+// AddAll applies every delta in one critical section, so an observation
+// that moves several families costs one lock.
+func (m *Metrics) AddAll(ds ...Delta) {
+	if m == nil {
+		return
+	}
+	m.mu.Lock()
+	for _, d := range ds {
+		m.ints[d.c.slot] += d.n
+	}
+	m.mu.Unlock()
+}
+
+// Observe records one latency in a histogram.
+func (m *Metrics) Observe(h Histogram, d time.Duration) {
+	if m == nil {
+		return
+	}
+	b := bucketOf(d)
+	m.mu.Lock()
+	m.hists[h.slot].observe(b, d)
+	m.mu.Unlock()
+}
 
 // ObserveQuery folds one finished query into the registry: its end-to-end
 // and optimize latencies plus what it cost at the market.
@@ -178,25 +424,40 @@ func (m *Metrics) ObserveQuery(total, optimize time.Duration, calls, records, tr
 	if m == nil {
 		return
 	}
+	tb, ob := bucketOf(total), bucketOf(optimize)
 	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.queries++
-	m.calls += calls
-	m.records += records
-	m.transactions += transactions
-	m.price += price
-	m.queryLatency.observe(total)
-	m.optimizeLatency.observe(optimize)
+	m.ints[Queries.slot]++
+	m.addSpend(calls, records, transactions, price, false)
+	m.hists[QueryLatency.slot].observe(tb, total)
+	m.hists[OptimizeLatency.slot].observe(ob, optimize)
+	m.mu.Unlock()
 }
 
-// ObserveQueryError counts a failed query.
-func (m *Metrics) ObserveQueryError() {
+// AddSpend folds market spend outside a successful query into the bill
+// families: a served call on the seller side, or the spend of a FAILED
+// query (failed=true). A failed query's spend is its salvage — the rows are
+// in the semantic store, so a retry will not re-buy them — and is also
+// booked in the failed-query-spend families so dashboards can see how much
+// money sits behind failures.
+func (m *Metrics) AddSpend(calls, records, transactions int64, price float64, failed bool) {
 	if m == nil {
 		return
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.queryErrors++
+	m.addSpend(calls, records, transactions, price, failed)
+}
+
+// addSpend is AddSpend with m.mu held.
+func (m *Metrics) addSpend(calls, records, transactions int64, price float64, failed bool) {
+	m.ints[Calls.slot] += calls
+	m.ints[Records.slot] += records
+	m.ints[Transactions.slot] += transactions
+	m.floats[billPrice] += price
+	if failed {
+		m.ints[FailedQuerySpendTransactions.slot] += transactions
+		m.floats[failedBillPrice] += price
+	}
 }
 
 // ObserveTrace folds a finished trace's per-call detail into the registry:
@@ -210,629 +471,73 @@ func (m *Metrics) ObserveTrace(t *Trace) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	for _, c := range t.Calls {
-		m.callLatency.observe(c.Latency)
-		m.retries += int64(c.Retries)
+		m.hists[CallLatency.slot].observe(bucketOf(c.Latency), c.Latency)
+		m.ints[Retries.slot] += int64(c.Retries)
 	}
-	m.storeHits += int64(t.StoreHits)
-	m.storeHitRows += t.StoreHitRows
-}
-
-// ObserveStoreLookup folds one semantic-store coverage lookup into the
-// registry. Fed directly by the store (not via traces), so it counts every
-// lookup whether or not the query was traced.
-func (m *Metrics) ObserveStoreLookup(micros int64, pruned int, fastPath bool) {
-	if m == nil {
-		return
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.storeLookups++
-	m.storeLookupMicros += micros
-	m.storePrunedBoxes += int64(pruned)
-	if fastPath {
-		m.storeFastPath++
-	}
-}
-
-// ObserveStoreCompaction folds one Record's compaction outcome into the
-// registry: whether the new entry was dropped as redundant, and how many
-// stored entries it absorbed or merged away.
-func (m *Metrics) ObserveStoreCompaction(dropped bool, absorbed, merged int) {
-	if m == nil {
-		return
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if dropped {
-		m.storeDropped++
-	}
-	m.storeCompacted += int64(absorbed + merged)
-}
-
-// ObserveReplayedCall counts a call served from the replay ledger instead
-// of being billed again — a retry whose first execution had already been
-// charged (seller side).
-func (m *Metrics) ObserveReplayedCall() {
-	if m == nil {
-		return
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.replayedCalls++
-}
-
-// ObserveBreakerOpen counts a circuit breaker tripping open for a dataset.
-func (m *Metrics) ObserveBreakerOpen() {
-	if m == nil {
-		return
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.breakerOpens++
-}
-
-// ObserveBreakerShortCircuit counts a market call refused locally because
-// its dataset's breaker was open — money and latency not spent on a market
-// that is known to be failing.
-func (m *Metrics) ObserveBreakerShortCircuit() {
-	if m == nil {
-		return
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.breakerShortCircuits++
-}
-
-// ObserveBreakerProbe counts a half-open probe call let through after a
-// breaker's cooldown.
-func (m *Metrics) ObserveBreakerProbe() {
-	if m == nil {
-		return
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.breakerProbes++
-}
-
-// ObserveFederationCall counts a market call routed through the federation
-// layer (before source selection).
-func (m *Metrics) ObserveFederationCall() {
-	if m == nil {
-		return
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.federationCalls++
-}
-
-// ObserveFederationFailover counts one failover: an endpoint's attempt
-// hard-failed and the call moved on to the next-cheapest healthy endpoint.
-func (m *Metrics) ObserveFederationFailover() {
-	if m == nil {
-		return
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.federationFailovers++
-}
-
-// ObserveFederationHedge counts a hedge launched: the primary endpoint was
-// slower than HedgeAfter, so a second endpoint was raced against it.
-func (m *Metrics) ObserveFederationHedge() {
-	if m == nil {
-		return
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.federationHedges++
-}
-
-// ObserveFederationHedgeWin counts a hedge whose secondary endpoint answered
-// first (the primary was cancelled as the loser).
-func (m *Metrics) ObserveFederationHedgeWin() {
-	if m == nil {
-		return
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.federationHedgeWins++
-}
-
-// ObserveFederationExhausted counts calls that failed on every configured
-// endpoint (all refused by breakers or all hard-failed).
-func (m *Metrics) ObserveFederationExhausted() {
-	if m == nil {
-		return
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.federationExhausted++
-}
-
-// AddInflight moves the in-flight-queries gauge by delta: +1 as a query is
-// admitted, -1 as it settles. The overload-protection layers watch this
-// level to tell "busy" from "drowning".
-func (m *Metrics) AddInflight(delta int64) {
-	if m == nil {
-		return
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.inflight += delta
-}
-
-// AddQueueDepth moves the admission-queue-depth gauge by delta: +1 as a
-// request starts waiting for an execution slot, -1 as it is admitted or
-// shed. Fed by the daemon's load shedder.
-func (m *Metrics) AddQueueDepth(delta int64) {
-	if m == nil {
-		return
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.queueDepth += delta
-}
-
-// ObserveFailedQuerySpend folds the money a FAILED query still spent into
-// the bill counters (its salvage: the rows are in the semantic store, so a
-// retry will not re-buy them). Calls/records/transactions/price join the
-// same cumulative families ObserveQuery feeds on success; the
-// failed-query-specific transaction/price totals are additionally tracked
-// so dashboards can see how much spend sits behind failures.
-func (m *Metrics) ObserveFailedQuerySpend(calls, records, transactions int64, price float64) {
-	if m == nil {
-		return
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.calls += calls
-	m.records += records
-	m.transactions += transactions
-	m.price += price
-	m.failedQuerySpendTransactions += transactions
-	m.failedQuerySpendPrice += price
-}
-
-// ObserveWALAppend folds one write-ahead-log append into the registry:
-// payload bytes, whether the append was fsynced before returning, and how
-// long the append (including any fsync) took.
-func (m *Metrics) ObserveWALAppend(bytes int, synced bool, micros int64) {
-	if m == nil {
-		return
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.walAppends++
-	m.walAppendBytes += int64(bytes)
-	m.walAppendMicros += micros
-	if synced {
-		m.walSyncedAppends++
-	}
-}
-
-// ObserveWALReplay folds one recovery replay into the registry: records
-// applied, records skipped as already covered by the loaded snapshot, and
-// whether a torn tail was truncated.
-func (m *Metrics) ObserveWALReplay(replayed, skipped int, torn bool) {
-	if m == nil {
-		return
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.walReplays++
-	m.walReplayedRecords += int64(replayed)
-	m.walSkippedRecords += int64(skipped)
-	if torn {
-		m.walTornTails++
-	}
-}
-
-// ObserveCheckpoint folds one snapshot checkpoint into the registry. Failed
-// checkpoints (ok=false) count separately; bytes/micros are then zero.
-func (m *Metrics) ObserveCheckpoint(bytes, micros int64, ok bool) {
-	if m == nil {
-		return
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if !ok {
-		m.checkpointFailures++
-		return
-	}
-	m.checkpoints++
-	m.checkpointBytes += bytes
-	m.checkpointMicros += micros
-}
-
-// ObserveAuditDrop counts an audit record that could not be written to the
-// audit sink. Auditing stays non-fatal; this is how the loss is seen.
-func (m *Metrics) ObserveAuditDrop() {
-	if m == nil {
-		return
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.auditDropped++
-}
-
-// ObservePlanCacheLookup folds one plan-template cache lookup into the
-// registry: whether it hit, and whether it found-and-discarded a stale
-// entry (an invalidation, which also counts as a miss).
-func (m *Metrics) ObservePlanCacheLookup(hit, invalidated bool) {
-	if m == nil {
-		return
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if hit {
-		m.planCacheHits++
-	} else {
-		m.planCacheMisses++
-	}
-	if invalidated {
-		m.planCacheInvalidations++
-	}
-}
-
-// ObservePlanCacheEviction counts a cached skeleton displaced by capacity.
-func (m *Metrics) ObservePlanCacheEviction() {
-	if m == nil {
-		return
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.planCacheEvictions++
-}
-
-// ObservePlanner counts which planning strategy produced one query's plan
-// ("cached", "greedy" or anything else, counted as dp).
-func (m *Metrics) ObservePlanner(planner string) {
-	if m == nil {
-		return
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	switch planner {
-	case "cached":
-		m.plansCached++
-	case "greedy":
-		m.plansGreedy++
-	default:
-		m.plansDP++
-	}
-}
-
-// ObserveSchedSingleflightHit counts a market call that joined an identical
-// (or containing) in-flight call instead of going to the wire — one bill
-// shared by several concurrent requesters.
-func (m *Metrics) ObserveSchedSingleflightHit() {
-	if m == nil {
-		return
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.schedSingleflightHits++
-}
-
-// ObserveSchedMerge counts one merged wire call the scheduler fused out of
-// several cross-query remainder boxes, and how many transactions the merge
-// saved versus billing the parts separately.
-func (m *Metrics) ObserveSchedMerge(saved int64) {
-	if m == nil {
-		return
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.schedMergedCalls++
-	if saved > 0 {
-		m.schedMergedTransactionsSaved += saved
-	}
-}
-
-// ObserveSchedDelayedCall counts a sub-transaction-size fetch the scheduler
-// parked in the coalesce window to accumulate merge candidates.
-func (m *Metrics) ObserveSchedDelayedCall() {
-	if m == nil {
-		return
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.schedDelayedCalls++
-}
-
-// ObserveCall folds one served market call into the registry — the
-// seller-side entry point used by Market.Execute.
-func (m *Metrics) ObserveCall(latency time.Duration, records, transactions int64, price float64) {
-	if m == nil {
-		return
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.calls++
-	m.records += records
-	m.transactions += transactions
-	m.price += price
-	m.callLatency.observe(latency)
-}
-
-// Snapshot is a point-in-time copy of every counter and histogram.
-type Snapshot struct {
-	// Queries and QueryErrors count finished and failed queries.
-	Queries     int64
-	QueryErrors int64
-	// Calls/Records/Transactions/Price are the cumulative market bill.
-	Calls        int64
-	Records      int64
-	Transactions int64
-	Price        float64
-	// Retries counts extra transport attempts across all calls.
-	Retries int64
-	// StoreHits counts plan accesses served entirely from the semantic
-	// store; StoreHitRows the rows served locally instead of bought.
-	StoreHits    int64
-	StoreHitRows int64
-	// StoreLookups counts indexed coverage lookups, StoreLookupMicros their
-	// cumulative duration, StorePrunedBoxes the stored boxes index pruning
-	// skipped, and StoreFastPathHits lookups answered by a single containing
-	// box. StoreDroppedEntries and StoreCompactedEntries count compaction:
-	// new entries dropped as redundant and stored entries absorbed/merged.
-	StoreLookups          int64
-	StoreLookupMicros     int64
-	StorePrunedBoxes      int64
-	StoreFastPathHits     int64
-	StoreDroppedEntries   int64
-	StoreCompactedEntries int64
-
-	// ReplayedCalls counts retried calls the replay ledger served without
-	// re-billing (seller side).
-	ReplayedCalls int64
-	// BreakerOpens/BreakerShortCircuits/BreakerProbes count circuit-breaker
-	// activity in the engine's fetch path (buyer side): breakers tripping
-	// open, calls refused while open, and half-open probes let through.
-	BreakerOpens         int64
-	BreakerShortCircuits int64
-	BreakerProbes        int64
-	// FailedQuerySpendTransactions/Price total the spend of queries that
-	// ultimately failed — money salvaged into the semantic store.
-	FailedQuerySpendTransactions int64
-	FailedQuerySpendPrice        float64
-
-	// WALAppends/WALAppendBytes/WALAppendMicros count write-ahead-log
-	// appends in durable mode; WALSyncedAppends those fsynced before
-	// Record returned. WALReplays counts recoveries, WALReplayedRecords
-	// and WALSkippedRecords their applied/already-covered frames, and
-	// WALTornTails recoveries that truncated a torn log tail.
-	WALAppends         int64
-	WALAppendBytes     int64
-	WALAppendMicros    int64
-	WALSyncedAppends   int64
-	WALReplays         int64
-	WALReplayedRecords int64
-	WALSkippedRecords  int64
-	WALTornTails       int64
-	// Checkpoints/CheckpointBytes/CheckpointMicros count successful
-	// snapshot checkpoints; CheckpointFailures the attempts that failed
-	// (and left the log intact).
-	Checkpoints        int64
-	CheckpointFailures int64
-	CheckpointBytes    int64
-	CheckpointMicros   int64
-	// AuditDropped counts audit records lost to sink write failures.
-	AuditDropped int64
-
-	// PlanCacheHits/Misses count plan-template cache lookups; Invalidations
-	// entries discarded because a coverage epoch or the stats version moved;
-	// Evictions entries displaced by the LRU capacity. PlansCached/Greedy/DP
-	// count queries by the planning strategy that produced their plan.
-	PlanCacheHits          int64
-	PlanCacheMisses        int64
-	PlanCacheInvalidations int64
-	PlanCacheEvictions     int64
-	PlansCached            int64
-	PlansGreedy            int64
-	PlansDP                int64
-
-	// SchedSingleflightHits counts calls served by joining an identical
-	// in-flight call; SchedMergedCalls wire calls fused out of several
-	// cross-query boxes; SchedMergedTransactionsSaved the transactions the
-	// merges saved versus billing the parts; SchedDelayedCalls the fetches
-	// parked in the coalesce window.
-	SchedSingleflightHits        int64
-	SchedMergedCalls             int64
-	SchedMergedTransactionsSaved int64
-	SchedDelayedCalls            int64
-
-	// FederationCalls counts market calls routed through the federation
-	// layer; FederationFailovers endpoint attempts that hard-failed and
-	// moved the call to the next-cheapest healthy endpoint;
-	// FederationHedges hedge attempts launched after HedgeAfter;
-	// FederationHedgeWins hedges whose secondary answered first; and
-	// FederationExhausted calls that failed on every configured endpoint.
-	FederationCalls     int64
-	FederationFailovers int64
-	FederationHedges    int64
-	FederationHedgeWins int64
-	FederationExhausted int64
-
-	// InflightQueries and QueueDepth are gauges: queries currently executing
-	// and requests currently parked waiting for an execution slot.
-	InflightQueries int64
-	QueueDepth      int64
-
-	QueryLatency    HistogramSnapshot
-	CallLatency     HistogramSnapshot
-	OptimizeLatency HistogramSnapshot
+	m.ints[StoreHits.slot] += int64(t.StoreHits)
+	m.ints[StoreHitRows.slot] += t.StoreHitRows
 }
 
 // Snapshot returns a consistent copy of the registry.
 func (m *Metrics) Snapshot() Snapshot {
+	var s Snapshot
 	if m == nil {
-		return Snapshot{}
+		return s
 	}
+	v := reflect.ValueOf(&s).Elem()
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return Snapshot{
-		Queries:               m.queries,
-		QueryErrors:           m.queryErrors,
-		Calls:                 m.calls,
-		Records:               m.records,
-		Transactions:          m.transactions,
-		Price:                 m.price,
-		Retries:               m.retries,
-		StoreHits:             m.storeHits,
-		StoreHitRows:          m.storeHitRows,
-		StoreLookups:          m.storeLookups,
-		StoreLookupMicros:     m.storeLookupMicros,
-		StorePrunedBoxes:      m.storePrunedBoxes,
-		StoreFastPathHits:     m.storeFastPath,
-		StoreDroppedEntries:   m.storeDropped,
-		StoreCompactedEntries: m.storeCompacted,
-
-		ReplayedCalls:                m.replayedCalls,
-		BreakerOpens:                 m.breakerOpens,
-		BreakerShortCircuits:         m.breakerShortCircuits,
-		BreakerProbes:                m.breakerProbes,
-		FailedQuerySpendTransactions: m.failedQuerySpendTransactions,
-		FailedQuerySpendPrice:        m.failedQuerySpendPrice,
-
-		WALAppends:         m.walAppends,
-		WALAppendBytes:     m.walAppendBytes,
-		WALAppendMicros:    m.walAppendMicros,
-		WALSyncedAppends:   m.walSyncedAppends,
-		WALReplays:         m.walReplays,
-		WALReplayedRecords: m.walReplayedRecords,
-		WALSkippedRecords:  m.walSkippedRecords,
-		WALTornTails:       m.walTornTails,
-		Checkpoints:        m.checkpoints,
-		CheckpointFailures: m.checkpointFailures,
-		CheckpointBytes:    m.checkpointBytes,
-		CheckpointMicros:   m.checkpointMicros,
-		AuditDropped:       m.auditDropped,
-
-		PlanCacheHits:          m.planCacheHits,
-		PlanCacheMisses:        m.planCacheMisses,
-		PlanCacheInvalidations: m.planCacheInvalidations,
-		PlanCacheEvictions:     m.planCacheEvictions,
-		PlansCached:            m.plansCached,
-		PlansGreedy:            m.plansGreedy,
-		PlansDP:                m.plansDP,
-
-		SchedSingleflightHits:        m.schedSingleflightHits,
-		SchedMergedCalls:             m.schedMergedCalls,
-		SchedMergedTransactionsSaved: m.schedMergedTransactionsSaved,
-		SchedDelayedCalls:            m.schedDelayedCalls,
-
-		FederationCalls:     m.federationCalls,
-		FederationFailovers: m.federationFailovers,
-		FederationHedges:    m.federationHedges,
-		FederationHedgeWins: m.federationHedgeWins,
-		FederationExhausted: m.federationExhausted,
-
-		InflightQueries: m.inflight,
-		QueueDepth:      m.queueDepth,
-
-		QueryLatency:    m.queryLatency.snapshot(),
-		CallLatency:     m.callLatency.snapshot(),
-		OptimizeLatency: m.optimizeLatency.snapshot(),
+	for _, f := range families {
+		dst := v.Field(f.field)
+		switch f.kind {
+		case kindInt:
+			dst.SetInt(m.ints[f.slot])
+		case kindFloat:
+			dst.SetFloat(m.floats[f.slot])
+		case kindHist:
+			dst.Set(reflect.ValueOf(m.hists[f.slot].snapshot()))
+		}
 	}
+	return s
 }
 
 // WritePrometheus renders the registry in the Prometheus text exposition
-// format. prefix namespaces the metric families ("payless" on the buyer
-// side, "market" on the seller side).
+// format, one family per Snapshot field in field order. prefix namespaces
+// the metric families ("payless" on the buyer side, "market" on the seller
+// side).
 func (m *Metrics) WritePrometheus(w io.Writer, prefix string) {
-	s := m.Snapshot()
-	counter := func(name, help string, v any) {
-		fmt.Fprintf(w, "# HELP %s_%s %s\n# TYPE %s_%s counter\n", prefix, name, help, prefix, name)
-		switch n := v.(type) {
+	v := reflect.ValueOf(m.Snapshot())
+	for _, f := range families {
+		WriteFamilyHead(w, prefix, f.name, f.help, f.typ)
+		switch x := v.Field(f.field).Interface().(type) {
 		case int64:
-			fmt.Fprintf(w, "%s_%s %d\n", prefix, name, n)
+			fmt.Fprintf(w, "%s_%s %d\n", prefix, f.name, x)
 		case float64:
-			fmt.Fprintf(w, "%s_%s %g\n", prefix, name, n)
+			fmt.Fprintf(w, "%s_%s %g\n", prefix, f.name, x)
+		case HistogramSnapshot:
+			for _, b := range x.Buckets {
+				fmt.Fprintf(w, "%s_%s_bucket{le=\"%g\"} %d\n", prefix, f.name, b.Le.Seconds(), b.Count)
+			}
+			fmt.Fprintf(w, "%s_%s_bucket{le=\"+Inf\"} %d\n", prefix, f.name, x.Count)
+			fmt.Fprintf(w, "%s_%s_sum %g\n", prefix, f.name, x.Sum.Seconds())
+			fmt.Fprintf(w, "%s_%s_count %d\n", prefix, f.name, x.Count)
 		}
 	}
-	counter("queries_total", "Queries executed.", s.Queries)
-	counter("query_errors_total", "Queries that failed.", s.QueryErrors)
-	counter("calls_total", "RESTful market calls.", s.Calls)
-	counter("records_total", "Records returned by market calls.", s.Records)
-	counter("transactions_total", "Transactions billed (ceil(records/t) per call).", s.Transactions)
-	counter("price_total", "Money billed across all calls.", s.Price)
-	counter("call_retries_total", "Extra transport attempts beyond the first.", s.Retries)
-	counter("store_hits_total", "Plan accesses served entirely from the semantic store.", s.StoreHits)
-	counter("store_hit_rows_total", "Rows served from the semantic store instead of bought.", s.StoreHitRows)
-	counter("store_lookups_total", "Indexed semantic-store coverage lookups.", s.StoreLookups)
-	counter("store_lookup_micros_total", "Cumulative coverage-lookup wall-clock microseconds.", s.StoreLookupMicros)
-	counter("store_pruned_boxes_total", "Stored boxes skipped by index pruning before subtraction.", s.StorePrunedBoxes)
-	counter("store_fastpath_total", "Coverage lookups answered by a single containing box.", s.StoreFastPathHits)
-	counter("store_dropped_entries_total", "New coverage entries dropped as redundant on Record.", s.StoreDroppedEntries)
-	counter("store_compacted_entries_total", "Stored coverage entries absorbed or merged by compaction.", s.StoreCompactedEntries)
-	counter("replayed_calls_total", "Retried calls served from the replay ledger without re-billing.", s.ReplayedCalls)
-	counter("breaker_opens_total", "Circuit breakers tripped open.", s.BreakerOpens)
-	counter("breaker_short_circuits_total", "Calls refused locally while a dataset's breaker was open.", s.BreakerShortCircuits)
-	counter("breaker_probes_total", "Half-open probe calls let through after a breaker cooldown.", s.BreakerProbes)
-	counter("failed_query_spend_transactions_total", "Transactions billed to queries that ultimately failed.", s.FailedQuerySpendTransactions)
-	counter("failed_query_spend_price_total", "Money billed to queries that ultimately failed.", s.FailedQuerySpendPrice)
-	counter("wal_appends_total", "Write-ahead-log appends in durable mode.", s.WALAppends)
-	counter("wal_append_bytes_total", "Payload bytes appended to the write-ahead log.", s.WALAppendBytes)
-	counter("wal_append_micros_total", "Cumulative WAL append wall-clock microseconds (including fsyncs).", s.WALAppendMicros)
-	counter("wal_synced_appends_total", "WAL appends fsynced before Record returned.", s.WALSyncedAppends)
-	counter("wal_replays_total", "Durable-store recoveries that replayed the log.", s.WALReplays)
-	counter("wal_replayed_records_total", "WAL records applied during recovery.", s.WALReplayedRecords)
-	counter("wal_skipped_records_total", "WAL records skipped as already covered by the loaded snapshot.", s.WALSkippedRecords)
-	counter("wal_torn_tails_total", "Recoveries that truncated a torn WAL tail.", s.WALTornTails)
-	counter("checkpoints_total", "Snapshot checkpoints completed.", s.Checkpoints)
-	counter("checkpoint_failures_total", "Snapshot checkpoints that failed (log left intact).", s.CheckpointFailures)
-	counter("checkpoint_bytes_total", "Bytes written by snapshot checkpoints.", s.CheckpointBytes)
-	counter("checkpoint_micros_total", "Cumulative checkpoint wall-clock microseconds.", s.CheckpointMicros)
-	counter("audit_dropped_total", "Audit records lost to sink write failures.", s.AuditDropped)
-	counter("plan_cache_hits_total", "Plan-template cache lookups served from cache.", s.PlanCacheHits)
-	counter("plan_cache_misses_total", "Plan-template cache lookups that missed.", s.PlanCacheMisses)
-	counter("plan_cache_invalidations_total", "Cached plan skeletons discarded as stale (coverage epoch or stats version moved).", s.PlanCacheInvalidations)
-	counter("plan_cache_evictions_total", "Cached plan skeletons displaced by the LRU capacity.", s.PlanCacheEvictions)
-	counter("plans_cached_total", "Queries planned from the plan-template cache.", s.PlansCached)
-	counter("plans_greedy_total", "Queries planned by the greedy fast path.", s.PlansGreedy)
-	counter("plans_dp_total", "Queries planned by the full dynamic program.", s.PlansDP)
-	counter("sched_singleflight_hits_total", "Calls served by joining an identical in-flight market call.", s.SchedSingleflightHits)
-	counter("sched_merged_calls_total", "Wire calls the scheduler fused out of several cross-query boxes.", s.SchedMergedCalls)
-	counter("sched_merged_transactions_saved_total", "Transactions saved by merged calls versus billing the parts.", s.SchedMergedTransactionsSaved)
-	counter("sched_delayed_calls_total", "Fetches parked in the coalesce window to accumulate merge candidates.", s.SchedDelayedCalls)
-	counter("federation_calls_total", "Market calls routed through the federation layer.", s.FederationCalls)
-	counter("federation_failovers_total", "Endpoint attempts that hard-failed and failed over to the next endpoint.", s.FederationFailovers)
-	counter("federation_hedged_calls_total", "Hedge attempts launched after the primary exceeded HedgeAfter.", s.FederationHedges)
-	counter("federation_hedge_wins_total", "Hedges whose secondary endpoint answered first.", s.FederationHedgeWins)
-	counter("federation_exhausted_total", "Calls that failed on every configured endpoint.", s.FederationExhausted)
-	gauge := func(name, help string, v int64) {
-		fmt.Fprintf(w, "# HELP %s_%s %s\n# TYPE %s_%s gauge\n", prefix, name, help, prefix, name)
-		fmt.Fprintf(w, "%s_%s %d\n", prefix, name, v)
-	}
-	gauge("inflight_queries", "Queries currently executing.", s.InflightQueries)
-	gauge("queue_depth", "Requests currently queued for an execution slot.", s.QueueDepth)
-	hist := func(name, help string, h HistogramSnapshot) {
-		fmt.Fprintf(w, "# HELP %s_%s %s\n# TYPE %s_%s histogram\n", prefix, name, help, prefix, name)
-		for _, b := range h.Buckets {
-			fmt.Fprintf(w, "%s_%s_bucket{le=\"%g\"} %d\n", prefix, name, b.Le.Seconds(), b.Count)
-		}
-		fmt.Fprintf(w, "%s_%s_bucket{le=\"+Inf\"} %d\n", prefix, name, h.Count)
-		fmt.Fprintf(w, "%s_%s_sum %g\n", prefix, name, h.Sum.Seconds())
-		fmt.Fprintf(w, "%s_%s_count %d\n", prefix, name, h.Count)
-	}
-	hist("query_duration_seconds", "End-to-end query latency.", s.QueryLatency)
-	hist("call_duration_seconds", "Market call latency (including retries and paging).", s.CallLatency)
-	hist("optimize_duration_seconds", "Optimizer latency per query.", s.OptimizeLatency)
 }
 
-// WriteCounterHead writes the HELP/TYPE preamble of one counter family in
-// the Prometheus text exposition format. Samples follow via
-// WriteLabeledCounter (or a plain fmt.Fprintf for unlabeled families).
-func WriteCounterHead(w io.Writer, prefix, name, help string) {
-	fmt.Fprintf(w, "# HELP %s_%s %s\n# TYPE %s_%s counter\n", prefix, name, help, prefix, name)
+// WriteFamilyHead writes the HELP/TYPE preamble of one family in the
+// Prometheus text exposition format; typ is "counter", "gauge" or
+// "histogram". Samples follow via WriteLabeledSample (or a plain
+// fmt.Fprintf for unlabeled families).
+func WriteFamilyHead(w io.Writer, prefix, name, help, typ string) {
+	fmt.Fprintf(w, "# HELP %s_%s %s\n# TYPE %s_%s %s\n", prefix, name, help, prefix, name, typ)
 }
 
-// WriteLabeledCounter writes one counter sample carrying a single label
-// pair. Go's %q quoting escapes backslash, double quote and newline exactly
-// as the exposition format requires. The multi-tenant daemon renders its
-// per-tenant spend families with it.
-func WriteLabeledCounter(w io.Writer, prefix, name, label, labelValue string, v int64) {
+// WriteLabeledSample writes one sample carrying a single label pair. Go's
+// %q quoting escapes backslash, double quote and newline exactly as the
+// exposition format requires. The multi-tenant daemon renders its
+// per-tenant families with it.
+func WriteLabeledSample(w io.Writer, prefix, name, label, labelValue string, v int64) {
 	fmt.Fprintf(w, "%s_%s{%s=%q} %d\n", prefix, name, label, labelValue, v)
 }
 

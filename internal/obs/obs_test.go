@@ -2,7 +2,6 @@ package obs
 
 import (
 	"context"
-	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
@@ -80,258 +79,4 @@ func TestContextCallPropagation(t *testing.T) {
 	}
 	var nilRec *CallRecord
 	nilRec.AddRetry() // must not panic
-}
-
-func TestMetricsCountersAndPrometheus(t *testing.T) {
-	m := NewMetrics()
-	m.ObserveQuery(10*time.Millisecond, time.Millisecond, 2, 150, 3, 3)
-	m.ObserveQueryError()
-	tr := NewTrace("q")
-	tr.AddCall(CallRecord{Latency: 4 * time.Millisecond, Retries: 1})
-	tr.AddCall(CallRecord{Latency: 6 * time.Millisecond})
-	tr.AddStoreHit(25)
-	m.ObserveTrace(tr)
-
-	s := m.Snapshot()
-	if s.Queries != 1 || s.QueryErrors != 1 || s.Calls != 2 || s.Transactions != 3 {
-		t.Errorf("snapshot counters: %+v", s)
-	}
-	if s.Retries != 1 || s.StoreHits != 1 || s.StoreHitRows != 25 {
-		t.Errorf("trace-fed counters: %+v", s)
-	}
-	if s.CallLatency.Count != 2 {
-		t.Errorf("call latency count = %d, want 2", s.CallLatency.Count)
-	}
-	if q := s.CallLatency.Quantile(0.5); q < 4*time.Millisecond || q > 10*time.Millisecond {
-		t.Errorf("p50 call latency = %v", q)
-	}
-
-	var b strings.Builder
-	m.WritePrometheus(&b, "payless")
-	out := b.String()
-	for _, want := range []string{
-		"payless_queries_total 1",
-		"payless_query_errors_total 1",
-		"payless_calls_total 2",
-		"payless_transactions_total 3",
-		"payless_store_hit_rows_total 25",
-		"payless_call_duration_seconds_count 2",
-		`payless_call_duration_seconds_bucket{le="+Inf"} 2`,
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("prometheus output missing %q", want)
-		}
-	}
-}
-
-func TestMetricsObserveCallSellerSide(t *testing.T) {
-	m := NewMetrics()
-	m.ObserveCall(2*time.Millisecond, 150, 2, 2)
-	m.ObserveCall(3*time.Millisecond, 50, 1, 1)
-	s := m.Snapshot()
-	if s.Calls != 2 || s.Records != 200 || s.Transactions != 3 || s.Price != 3 {
-		t.Errorf("seller-side counters: %+v", s)
-	}
-	srv := httptest.NewServer(m.Handler("market"))
-	defer srv.Close()
-	resp, err := srv.Client().Get(srv.URL)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	buf := make([]byte, 1<<16)
-	n, _ := resp.Body.Read(buf)
-	if !strings.Contains(string(buf[:n]), "market_transactions_total 3") {
-		t.Errorf("metrics endpoint output:\n%s", buf[:n])
-	}
-}
-
-// TestFailureMetricsFamilies pins the Prometheus families the failure-
-// recovery layer exports — CI greps dashboards and alerts against these
-// names, so renaming one is a breaking change.
-func TestFailureMetricsFamilies(t *testing.T) {
-	m := NewMetrics()
-	m.ObserveReplayedCall()
-	m.ObserveBreakerOpen()
-	m.ObserveBreakerShortCircuit()
-	m.ObserveBreakerProbe()
-	m.ObserveFailedQuerySpend(2, 150, 3, 3)
-
-	s := m.Snapshot()
-	if s.ReplayedCalls != 1 || s.BreakerOpens != 1 || s.BreakerShortCircuits != 1 || s.BreakerProbes != 1 {
-		t.Errorf("failure counters: %+v", s)
-	}
-	if s.FailedQuerySpendTransactions != 3 || s.FailedQuerySpendPrice != 3 {
-		t.Errorf("failed-spend counters: %+v", s)
-	}
-
-	// Both deployed prefixes: "payless" on the buyer client, "market" on the
-	// seller handler.
-	for _, prefix := range []string{"payless", "market"} {
-		var b strings.Builder
-		m.WritePrometheus(&b, prefix)
-		out := b.String()
-		for _, want := range []string{
-			prefix + "_replayed_calls_total 1",
-			prefix + "_breaker_opens_total 1",
-			prefix + "_breaker_short_circuits_total 1",
-			prefix + "_breaker_probes_total 1",
-			prefix + "_failed_query_spend_transactions_total 3",
-			prefix + "_failed_query_spend_price_total 3",
-		} {
-			if !strings.Contains(out, want) {
-				t.Errorf("prometheus output missing %q", want)
-			}
-		}
-	}
-}
-
-// TestDurabilityMetricsFamilies pins the Prometheus families the durable
-// store exports — like the failure families above, renaming one breaks
-// dashboards and the crash-smoke CI greps.
-func TestDurabilityMetricsFamilies(t *testing.T) {
-	m := NewMetrics()
-	m.ObserveWALAppend(100, true, 40)
-	m.ObserveWALAppend(50, false, 10)
-	m.ObserveWALReplay(7, 2, true)
-	m.ObserveCheckpoint(1000, 300, true)
-	m.ObserveCheckpoint(0, 0, false)
-	m.ObserveAuditDrop()
-
-	s := m.Snapshot()
-	if s.WALAppends != 2 || s.WALAppendBytes != 150 || s.WALAppendMicros != 50 || s.WALSyncedAppends != 1 {
-		t.Errorf("wal append counters: %+v", s)
-	}
-	if s.WALReplays != 1 || s.WALReplayedRecords != 7 || s.WALSkippedRecords != 2 || s.WALTornTails != 1 {
-		t.Errorf("wal replay counters: %+v", s)
-	}
-	if s.Checkpoints != 1 || s.CheckpointFailures != 1 || s.CheckpointBytes != 1000 || s.CheckpointMicros != 300 {
-		t.Errorf("checkpoint counters: %+v", s)
-	}
-	if s.AuditDropped != 1 {
-		t.Errorf("audit drop counter: %+v", s)
-	}
-
-	var b strings.Builder
-	m.WritePrometheus(&b, "payless")
-	out := b.String()
-	for _, want := range []string{
-		"payless_wal_appends_total 2",
-		"payless_wal_append_bytes_total 150",
-		"payless_wal_append_micros_total 50",
-		"payless_wal_synced_appends_total 1",
-		"payless_wal_replays_total 1",
-		"payless_wal_replayed_records_total 7",
-		"payless_wal_skipped_records_total 2",
-		"payless_wal_torn_tails_total 1",
-		"payless_checkpoints_total 1",
-		"payless_checkpoint_failures_total 1",
-		"payless_checkpoint_bytes_total 1000",
-		"payless_checkpoint_micros_total 300",
-		"payless_audit_dropped_total 1",
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("prometheus output missing %q", want)
-		}
-	}
-}
-
-func TestNilMetricsIsNoOp(t *testing.T) {
-	var m *Metrics
-	m.ObserveQuery(time.Millisecond, 0, 1, 1, 1, 1)
-	m.ObserveQueryError()
-	m.ObserveTrace(NewTrace("q"))
-	m.ObserveCall(time.Millisecond, 1, 1, 1)
-	m.ObserveWALAppend(1, true, 1)
-	m.ObserveWALReplay(1, 0, false)
-	m.ObserveCheckpoint(1, 1, true)
-	m.ObserveAuditDrop()
-	if s := m.Snapshot(); s.Queries != 0 || s.WALAppends != 0 {
-		t.Errorf("nil metrics snapshot: %+v", s)
-	}
-}
-
-// TestFederationMetricsFamilies pins the Prometheus families the federated
-// caller exports — the federation-smoke CI job and dashboards grep these
-// names, so renaming one is a breaking change.
-func TestFederationMetricsFamilies(t *testing.T) {
-	m := NewMetrics()
-	m.ObserveFederationCall()
-	m.ObserveFederationCall()
-	m.ObserveFederationFailover()
-	m.ObserveFederationHedge()
-	m.ObserveFederationHedgeWin()
-	m.ObserveFederationExhausted()
-
-	s := m.Snapshot()
-	if s.FederationCalls != 2 || s.FederationFailovers != 1 ||
-		s.FederationHedges != 1 || s.FederationHedgeWins != 1 || s.FederationExhausted != 1 {
-		t.Errorf("federation counters: %+v", s)
-	}
-
-	var b strings.Builder
-	m.WritePrometheus(&b, "payless")
-	out := b.String()
-	for _, want := range []string{
-		"payless_federation_calls_total 2",
-		"payless_federation_failovers_total 1",
-		"payless_federation_hedged_calls_total 1",
-		"payless_federation_hedge_wins_total 1",
-		"payless_federation_exhausted_total 1",
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("prometheus output missing %q", want)
-		}
-	}
-
-	// Nil-safety of the federation observers (the federated caller takes a
-	// possibly-nil sink).
-	var nm *Metrics
-	nm.ObserveFederationCall()
-	nm.ObserveFederationFailover()
-	nm.ObserveFederationHedge()
-	nm.ObserveFederationHedgeWin()
-	nm.ObserveFederationExhausted()
-	if s := nm.Snapshot(); s.FederationCalls != 0 {
-		t.Errorf("nil metrics federation snapshot: %+v", s)
-	}
-}
-
-func TestOverloadMetricsFamilies(t *testing.T) {
-	m := NewMetrics()
-	m.AddInflight(1)
-	m.AddInflight(1)
-	m.AddInflight(-1)
-	m.AddQueueDepth(1)
-	m.AddQueueDepth(1)
-	m.AddQueueDepth(1)
-	m.AddQueueDepth(-1)
-
-	s := m.Snapshot()
-	if s.InflightQueries != 1 || s.QueueDepth != 2 {
-		t.Errorf("gauges: inflight=%d queue=%d, want 1 2", s.InflightQueries, s.QueueDepth)
-	}
-
-	var b strings.Builder
-	m.WritePrometheus(&b, "payless")
-	out := b.String()
-	// These names are scraped by dashboards: pin them exactly, including the
-	// gauge TYPE lines.
-	for _, want := range []string{
-		"# TYPE payless_inflight_queries gauge",
-		"payless_inflight_queries 1",
-		"# TYPE payless_queue_depth gauge",
-		"payless_queue_depth 2",
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("prometheus output missing %q", want)
-		}
-	}
-
-	var nm *Metrics
-	nm.AddInflight(1)
-	nm.AddQueueDepth(1)
-	if s := nm.Snapshot(); s.InflightQueries != 0 || s.QueueDepth != 0 {
-		t.Errorf("nil metrics gauge snapshot: %+v", s)
-	}
 }

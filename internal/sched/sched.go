@@ -233,7 +233,7 @@ func (s *Scheduler) Fetch(ctx context.Context, req Request) (market.Result, Info
 		f.join(req.Record)
 		s.mu.Unlock()
 		s.singleflightHits.Add(1)
-		s.cfg.Metrics.ObserveSchedSingleflightHit()
+		s.cfg.Metrics.Add(obs.SchedSingleflightHits, 1)
 		return s.wait(ctx, req, f, Info{})
 	}
 	// 2. A strictly wider call in flight for the same table: piggyback on
@@ -244,7 +244,7 @@ func (s *Scheduler) Fetch(ctx context.Context, req Request) (market.Result, Info
 			f.join(req.Record)
 			s.mu.Unlock()
 			s.singleflightHits.Add(1)
-			s.cfg.Metrics.ObserveSchedSingleflightHit()
+			s.cfg.Metrics.Add(obs.SchedSingleflightHits, 1)
 			return s.wait(ctx, req, f, Info{})
 		}
 	}
@@ -257,7 +257,7 @@ func (s *Scheduler) Fetch(ctx context.Context, req Request) (market.Result, Info
 		pr := s.park(req)
 		s.mu.Unlock()
 		s.delayedCalls.Add(1)
-		s.cfg.Metrics.ObserveSchedDelayedCall()
+		s.cfg.Metrics.Add(obs.SchedDelayedCalls, 1)
 		select {
 		case <-pr.ready:
 		case <-ctx.Done():
@@ -335,7 +335,7 @@ func (s *Scheduler) run(ctx context.Context, f *flight) {
 		if f.merged {
 			s.mergedCalls.Add(1)
 			saved := s.mergeSavings(f, res)
-			s.cfg.Metrics.ObserveSchedMerge(saved)
+			s.cfg.Metrics.AddAll(obs.SchedMergedCalls.By(1), obs.SchedMergedTransactionsSaved.By(saved))
 			s.mergedSaved.Add(saved)
 		}
 		// Record exactly once per wire call — but only when the requesters'
@@ -626,7 +626,7 @@ func (s *Scheduler) dispatchCluster(cl *mergeCluster) {
 			ex.join(record)
 			f = ex
 			s.singleflightHits.Add(1)
-			s.cfg.Metrics.ObserveSchedSingleflightHit()
+			s.cfg.Metrics.Add(obs.SchedSingleflightHits, 1)
 		} else {
 			f = s.launch(cl.meta, cl.box, q, record, nil)
 		}
@@ -644,7 +644,7 @@ func (s *Scheduler) dispatchCluster(cl *mergeCluster) {
 			for range cl.prs {
 				ex.join(record)
 				s.singleflightHits.Add(1)
-				s.cfg.Metrics.ObserveSchedSingleflightHit()
+				s.cfg.Metrics.Add(obs.SchedSingleflightHits, 1)
 			}
 			f = ex
 		} else {

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"payless/internal/catalog"
+	"payless/internal/obs"
 	"payless/internal/region"
 	"payless/internal/value"
 	"payless/internal/wal"
@@ -237,9 +238,8 @@ func (s *Store) EnableDurability(dir string, opts DurableOptions) (RecoveryInfo,
 	d.recovery = info
 	s.recorded.Store(d.cum)
 	s.dur = d
-	if m := s.metrics; m != nil {
-		m.ObserveWALReplay(info.Replayed, info.Skipped, info.Torn)
-	}
+	s.metrics.AddAll(obs.WALReplays.By(1), obs.WALReplayedRecords.By(int64(info.Replayed)),
+		obs.WALSkippedRecords.By(int64(info.Skipped)), obs.WALTornTails.By(obs.Flag(info.Torn)))
 	return info, nil
 }
 
@@ -304,18 +304,15 @@ func (d *durState) record(s *Store, meta *catalog.Table, b region.Box, rows []va
 	res.WALBytes = len(payload)
 	d.cum = rec.Seq
 	s.recorded.Store(d.cum)
-	if m := s.metrics; m != nil {
-		m.ObserveWALAppend(len(payload), synced, res.WALMicros)
-	}
+	s.metrics.AddAll(obs.WALAppends.By(1), obs.WALAppendBytes.By(int64(len(payload))),
+		obs.WALAppendMicros.By(res.WALMicros), obs.WALSyncedAppends.By(obs.Flag(synced)))
 	s.applyRecord(meta, b, rows, coords, at, &res)
 	d.sinceCkpt++
 	if d.ckptEvery > 0 && d.sinceCkpt >= d.ckptEvery {
 		// A failed checkpoint must not fail the Record: the log still holds
 		// everything. Count it and retry at the next boundary.
 		if err := d.checkpointLocked(s); err != nil {
-			if m := s.metrics; m != nil {
-				m.ObserveCheckpoint(0, 0, false)
-			}
+			s.metrics.Add(obs.CheckpointFailures, 1)
 		}
 	}
 	return res, nil
@@ -385,9 +382,8 @@ func (d *durState) checkpointLocked(s *Store) error {
 			_ = d.fs.SyncDir(d.dir)
 		}
 	}
-	if m := s.metrics; m != nil {
-		m.ObserveCheckpoint(int64(buf.Len()), time.Since(start).Microseconds(), true)
-	}
+	s.metrics.AddAll(obs.Checkpoints.By(1), obs.CheckpointBytes.By(int64(buf.Len())),
+		obs.CheckpointMicros.By(time.Since(start).Microseconds()))
 	return nil
 }
 

@@ -336,9 +336,8 @@ func (s *Store) applyRecord(meta *catalog.Table, b region.Box, rows []value.Row,
 		if ts.maybeRebuild() {
 			s.rebuilds.Add(1)
 		}
-		if m := s.metrics; m != nil {
-			m.ObserveStoreCompaction(res.Dropped, res.Absorbed, res.Merged)
-		}
+		s.metrics.AddAll(obs.StoreDroppedEntries.By(obs.Flag(res.Dropped)),
+			obs.StoreCompactedEntries.By(int64(res.Absorbed+res.Merged)))
 	}
 	s.publish(snap, ts)
 }
@@ -789,9 +788,8 @@ func (s *Store) Coverage(table string, q region.Box, since time.Time) ([]region.
 	}
 	s.prunedBoxes.Add(int64(st.Pruned))
 	st.Micros = time.Since(start).Microseconds()
-	if m != nil {
-		m.ObserveStoreLookup(st.Micros, st.Pruned, st.FastPath)
-	}
+	m.AddAll(obs.StoreLookups.By(1), obs.StoreLookupMicros.By(st.Micros),
+		obs.StorePrunedBoxes.By(int64(st.Pruned)), obs.StoreFastPathHits.By(obs.Flag(st.FastPath)))
 	return out, st
 }
 

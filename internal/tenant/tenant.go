@@ -455,31 +455,31 @@ func (r *Registry) WriteMetrics(w io.Writer, prefix string) {
 		t.mu.Unlock()
 	}
 	r.tabmu.RUnlock()
-	obs.WriteCounterHead(w, prefix, "tenant_spend_total", "Transactions billed to queries this tenant triggered (first-payer attribution).")
+	obs.WriteFamilyHead(w, prefix, "tenant_spend_total", "Transactions billed to queries this tenant triggered (first-payer attribution).", "counter")
 	for _, x := range rows {
-		obs.WriteLabeledCounter(w, prefix, "tenant_spend_total", "tenant", x.name, x.spent)
+		obs.WriteLabeledSample(w, prefix, "tenant_spend_total", "tenant", x.name, x.spent)
 	}
-	obs.WriteCounterHead(w, prefix, "tenant_reserved_transactions", "Estimated transactions held by this tenant's in-flight queries.")
+	obs.WriteFamilyHead(w, prefix, "tenant_reserved_transactions", "Estimated transactions held by this tenant's in-flight queries.", "gauge")
 	for _, x := range rows {
-		obs.WriteLabeledCounter(w, prefix, "tenant_reserved_transactions", "tenant", x.name, x.reserved)
+		obs.WriteLabeledSample(w, prefix, "tenant_reserved_transactions", "tenant", x.name, x.reserved)
 	}
-	obs.WriteCounterHead(w, prefix, "tenant_queries_total", "Queries admitted past this tenant's budget.")
+	obs.WriteFamilyHead(w, prefix, "tenant_queries_total", "Queries admitted past this tenant's budget.", "counter")
 	for _, x := range rows {
-		obs.WriteLabeledCounter(w, prefix, "tenant_queries_total", "tenant", x.name, x.queries)
+		obs.WriteLabeledSample(w, prefix, "tenant_queries_total", "tenant", x.name, x.queries)
 	}
-	obs.WriteCounterHead(w, prefix, "tenant_rejected_budget_total", "Queries rejected over the tenant budget.")
+	obs.WriteFamilyHead(w, prefix, "tenant_rejected_budget_total", "Queries rejected over the tenant budget.", "counter")
 	for _, x := range rows {
-		obs.WriteLabeledCounter(w, prefix, "tenant_rejected_budget_total", "tenant", x.name, x.rejected)
+		obs.WriteLabeledSample(w, prefix, "tenant_rejected_budget_total", "tenant", x.name, x.rejected)
 	}
-	obs.WriteCounterHead(w, prefix, "tenant_rate_limited_total", "Queries rejected by the tenant rate limit.")
+	obs.WriteFamilyHead(w, prefix, "tenant_rate_limited_total", "Queries rejected by the tenant rate limit.", "counter")
 	for _, x := range rows {
-		obs.WriteLabeledCounter(w, prefix, "tenant_rate_limited_total", "tenant", x.name, x.rated)
+		obs.WriteLabeledSample(w, prefix, "tenant_rate_limited_total", "tenant", x.name, x.rated)
 	}
 	r.mu.Lock()
 	spent, rejected := r.globalSpent, r.rejectedGlob
 	r.mu.Unlock()
-	obs.WriteCounterHead(w, prefix, "global_spend_total", "Transactions billed across all tenants.")
+	obs.WriteFamilyHead(w, prefix, "global_spend_total", "Transactions billed across all tenants.", "counter")
 	fmt.Fprintf(w, "%s_global_spend_total %d\n", prefix, spent)
-	obs.WriteCounterHead(w, prefix, "global_rejected_budget_total", "Queries rejected over the global budget.")
+	obs.WriteFamilyHead(w, prefix, "global_rejected_budget_total", "Queries rejected over the global budget.", "counter")
 	fmt.Fprintf(w, "%s_global_rejected_budget_total %d\n", prefix, rejected)
 }

@@ -125,8 +125,8 @@ func TestOpenHTTPAcceptsTypedAndLegacyOptions(t *testing.T) {
 }
 
 // TestExplainVariants pins the folded Explain API: plain Explain fills the
-// summary, Verbose() adds PlanDetail, ExplainContext honours cancellation,
-// and the deprecated ExplainVerbose returns the same detail text.
+// summary, Verbose() adds PlanDetail and ExplainContext honours
+// cancellation.
 func TestExplainVariants(t *testing.T) {
 	client, w := optionsSetup(t)
 	sql := fmt.Sprintf("SELECT * FROM Weather WHERE Country = 'United States' AND Date >= %d AND Date <= %d",
@@ -149,23 +149,6 @@ func TestExplainVariants(t *testing.T) {
 	}
 	if verbose.PlanDetail == "" {
 		t.Fatal("Verbose() must fill PlanDetail")
-	}
-
-	//lint:ignore SA1019 the deprecated wrapper is exactly what is under test
-	old, err := client.ExplainVerbose(sql)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The header embeds the optimize wall-clock time, so compare the
-	// deterministic step listing below it.
-	steps := func(s string) string {
-		if _, rest, ok := strings.Cut(s, "\n"); ok {
-			return rest
-		}
-		return s
-	}
-	if steps(old) != steps(verbose.PlanDetail) {
-		t.Errorf("ExplainVerbose %q vs PlanDetail %q", old, verbose.PlanDetail)
 	}
 
 	ctx, cancel := context.WithCancel(context.Background())

@@ -230,29 +230,6 @@ type Config struct {
 	storeFS wal.FS
 }
 
-// MarketEndpoint configures one market mirror of a federated client.
-type MarketEndpoint struct {
-	// Name identifies the endpoint in traces, metrics, and health reports
-	// (e.g. "us-east"). Empty names are auto-filled as "endpoint-<i>".
-	Name string
-	// BaseURL and AccountKey describe the mirror's HTTP market server;
-	// OpenFederated builds a connector from them when Caller is nil.
-	BaseURL    string
-	AccountKey string
-	// Caller is a pre-built transport for the endpoint (an in-process
-	// market.AccountCaller in tests, or a custom connector). Takes
-	// precedence over BaseURL.
-	Caller market.Caller
-	// PriceFactor scales list price at this mirror (<= 0 means 1.0);
-	// LatencyHint seeds the cost model until observed latencies accumulate.
-	PriceFactor float64
-	LatencyHint time.Duration
-}
-
-// EndpointHealth is one federation endpoint's health, as reported by
-// Client.FederationHealth and the daemon's /healthz.
-type EndpointHealth = federation.EndpointHealth
-
 // StoreSyncPolicy selects the durable store's WAL fsync cadence.
 type StoreSyncPolicy = wal.SyncPolicy
 
@@ -569,14 +546,14 @@ func (c *Client) begin() error {
 		return ErrClosed
 	}
 	c.inflight.Add(1)
-	c.metrics.AddInflight(1)
+	c.metrics.Add(obs.InflightQueries, 1)
 	return nil
 }
 
 // done settles one in-flight query: the gauge drops before the WaitGroup so
 // Close/Drain observers never see a negative level.
 func (c *Client) done() {
-	c.metrics.AddInflight(-1)
+	c.metrics.Add(obs.InflightQueries, -1)
 	c.inflight.Done()
 }
 
@@ -607,125 +584,14 @@ func OpenHTTP(baseURL, accountKey string, localTables []*catalog.Table, opts ...
 		o(&cfg)
 	}
 	cli := connector.New(baseURL, accountKey, cfg.connectorOptions()...)
-	tables, err := cli.Catalog()
+	tables, tpt, err := fetchRegistration(cli)
 	if err != nil {
 		return nil, err
-	}
-	tpt := make(map[string]int)
-	for _, t := range tables {
-		if _, ok := tpt[t.Dataset]; !ok {
-			pt, err := cli.TuplesPerTransaction(t.Dataset)
-			if err != nil {
-				return nil, err
-			}
-			tpt[t.Dataset] = pt
-		}
 	}
 	cfg.Tables = append(tables, localTables...)
 	cfg.Caller = cli
 	cfg.TuplesPerTransaction = tpt
 	return Open(cfg)
-}
-
-// OpenFederated is OpenHTTP for a federated buyer: it builds one HTTP
-// connector per endpoint (endpoints with a pre-built Caller keep it),
-// bootstraps the catalog and page sizes from the first endpoint that
-// answers — registration itself fails over — and opens a Client whose calls
-// are routed by the federation layer. Every market table is annotated with
-// a catalog Mirror entry per endpoint, recording the terms (price factor,
-// latency hint, account key) the source-selection cost model uses.
-func OpenFederated(endpoints []MarketEndpoint, localTables []*catalog.Table, opts ...Option) (*Client, error) {
-	var cfg Config
-	for _, o := range opts {
-		o(&cfg)
-	}
-	if len(endpoints) == 0 {
-		return nil, fmt.Errorf("payless: OpenFederated requires at least one endpoint")
-	}
-	eps := make([]MarketEndpoint, len(endpoints))
-	copy(eps, endpoints)
-	for i := range eps {
-		if eps[i].Name == "" {
-			eps[i].Name = fmt.Sprintf("endpoint-%d", i)
-		}
-		if eps[i].Caller == nil {
-			if eps[i].BaseURL == "" {
-				return nil, fmt.Errorf("payless: federation endpoint %q needs a BaseURL or a Caller", eps[i].Name)
-			}
-			eps[i].Caller = connector.New(eps[i].BaseURL, eps[i].AccountKey, cfg.connectorOptions()...)
-		}
-	}
-	// Registration: fetch the catalog and per-dataset page sizes from the
-	// first endpoint that answers, so a down mirror cannot block startup.
-	if len(cfg.Tables) == 0 {
-		var lastErr error
-		for _, ep := range eps {
-			cli, ok := ep.Caller.(*connector.Client)
-			if !ok {
-				continue
-			}
-			tables, tpt, err := fetchRegistration(cli)
-			if err != nil {
-				lastErr = fmt.Errorf("endpoint %s: %w", ep.Name, err)
-				continue
-			}
-			cfg.Tables = append(tables, localTables...)
-			cfg.TuplesPerTransaction = tpt
-			break
-		}
-		if len(cfg.Tables) == 0 {
-			if lastErr == nil {
-				lastErr = fmt.Errorf("no HTTP endpoint to register with (pass Tables via options for in-process callers)")
-			}
-			return nil, fmt.Errorf("payless: federated registration failed: %w", lastErr)
-		}
-	}
-	// Annotate each market table with its mirrors so the catalog records —
-	// and the cost model sees — which endpoints offer it and at what terms.
-	for _, t := range cfg.Tables {
-		if t.Local || len(t.Mirrors) > 0 {
-			continue
-		}
-		for _, ep := range eps {
-			t.Mirrors = append(t.Mirrors, catalog.Mirror{
-				Endpoint:    ep.Name,
-				PriceFactor: ep.PriceFactor,
-				LatencyHint: ep.LatencyHint,
-				AccountKey:  ep.AccountKey,
-			})
-		}
-	}
-	cfg.FederationEndpoints = eps
-	return Open(cfg)
-}
-
-// fetchRegistration pulls one endpoint's catalog and page sizes.
-func fetchRegistration(cli *connector.Client) ([]*catalog.Table, map[string]int, error) {
-	tables, err := cli.Catalog()
-	if err != nil {
-		return nil, nil, err
-	}
-	tpt := make(map[string]int)
-	for _, t := range tables {
-		if _, ok := tpt[t.Dataset]; !ok {
-			pt, err := cli.TuplesPerTransaction(t.Dataset)
-			if err != nil {
-				return nil, nil, err
-			}
-			tpt[t.Dataset] = pt
-		}
-	}
-	return tables, tpt, nil
-}
-
-// FederationHealth reports each federation endpoint's health — calls,
-// failures, latency EWMA, open circuits — in configuration order. It
-// returns nil for non-federated clients.
-func (c *Client) FederationHealth() []EndpointHealth {
-	if c.fed == nil {
-		return nil
-	}
-	return c.fed.Health()
 }
 
 // connectorOptions derives the HTTP connector options from the config's
@@ -858,7 +724,7 @@ func (c *Client) compileCached(sql string, tr *obs.Trace, cache *core.PlanCache)
 			if plan, ok := sk.Instantiate(bound, c.store, &opts); ok {
 				tr.SetPlanner(core.PlannerCached)
 				tr.SetPlan(plan.String(), plan.EstTrans)
-				c.metrics.ObservePlanner(core.PlannerCached)
+				c.metrics.Add(obs.PlansCached, 1)
 				return plan, opts, nil
 			}
 		}
@@ -876,7 +742,11 @@ func (c *Client) compileCached(sql string, tr *obs.Trace, cache *core.PlanCache)
 	if err != nil {
 		return nil, core.Options{}, stageErr(StageOptimize, err)
 	}
-	c.metrics.ObservePlanner(plan.Planner)
+	planned := obs.PlansDP
+	if plan.Planner == core.PlannerGreedy {
+		planned = obs.PlansGreedy
+	}
+	c.metrics.Add(planned, 1)
 	if norm != nil {
 		// The epochs snapshot is taken here, BEFORE execution: if this very
 		// query buys data, its purchases bump the table epochs and the entry
@@ -914,7 +784,7 @@ func (c *Client) queryCached(ctx context.Context, sql string, cache *core.PlanCa
 	tr := c.beginTrace(sql)
 	res, err := c.run(ctx, sql, tr, cache)
 	if err != nil {
-		c.metrics.ObserveQueryError()
+		c.metrics.Add(obs.QueryErrors, 1)
 		c.finishTrace(tr)
 		return nil, err
 	}
@@ -966,7 +836,7 @@ func (c *Client) run(ctx context.Context, sql string, tr *obs.Trace, cache *core
 		// under-reports.
 		c.settleBudget(est, report)
 		if report != (engine.Report{}) {
-			c.metrics.ObserveFailedQuerySpend(report.Calls, report.Records, report.Transactions, report.Price)
+			c.metrics.AddSpend(report.Calls, report.Records, report.Transactions, report.Price, true)
 		}
 		if a := c.cfg.Admitter; a != nil {
 			a.Settle(ctx, est, report.Transactions)

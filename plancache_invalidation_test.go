@@ -35,8 +35,8 @@ func TestPlanCacheInvalidationOnCoverageFlip(t *testing.T) {
 	// the template twice more.
 	sequence := []string{
 		shape(2, 5), shape(2, 5), shape(2, 5), // run 1 misses, run 2 re-caches, run 3 hits
-		"SELECT * FROM Weather", // buys the rest of the table: epoch bump, plan flip
-		shape(1, 8),             // same shape, post-flip: must NOT serve the stale skeleton
+		"SELECT * FROM Weather",  // buys the rest of the table: epoch bump, plan flip
+		shape(1, 8),              // same shape, post-flip: must NOT serve the stale skeleton
 		shape(1, 8), shape(1, 8), // re-cached flipped plan serves from here
 	}
 

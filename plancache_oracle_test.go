@@ -132,7 +132,7 @@ func TestSpendParityOracle(t *testing.T) {
 					// accepted when its estimated spend is within the margin of
 					// a DP lower bound; billed reality must stay within 5% too
 					// (+1 transaction of ceil slack for tiny queries).
-					if allowed := want.Report.Transactions+want.Report.Transactions/20+1; g.Report.Transactions > allowed {
+					if allowed := want.Report.Transactions + want.Report.Transactions/20 + 1; g.Report.Transactions > allowed {
 						t.Errorf("pass %d query %d: greedy billed %d, dp billed %d (allowed %d)\n%s",
 							pass, qi, g.Report.Transactions, want.Report.Transactions, allowed, sql)
 					}
