@@ -80,7 +80,7 @@ func (c *Client) QueryBatch(sqls []string) ([]BatchResult, error) {
 		})
 		pick := plans[0]
 
-		eng := engine.Engine{Catalog: c.cat, Store: c.store, Stats: c.stats, Caller: c.caller, Sched: c.sched, Options: opts, Concurrency: c.cfg.fetchConcurrency()}
+		eng := engine.Engine{Catalog: c.cat, Store: c.store, Stats: c.stats, Caller: c.caller, Sched: c.sched, Options: opts, Concurrency: c.cfg.fetchConcurrency(), Metrics: c.metrics}
 		execStart := time.Now()
 		rel, report, err := eng.Execute(pick.plan)
 		if err != nil {

@@ -1,10 +1,8 @@
 package bench
 
 import (
-	"fmt"
 	"path/filepath"
 	"testing"
-	"time"
 
 	payless "payless"
 
@@ -46,48 +44,23 @@ func TestFigDurability(t *testing.T) {
 // refactor: a durable client whose WAL never fsyncs must run the fan-out
 // workload within 2% of a memory-only client — the write-ahead logging hot
 // path (and, a fortiori, the nil-WAL branch every default client takes)
-// costs nothing next to the market round-trips. Minimum-of-N timings are
-// compared so scheduler noise cancels out, and the comparison re-measures
-// before declaring a regression.
+// costs nothing next to the market round-trips. The comparison is
+// guardOverhead's: alternating pairs, faster-half means, up to 3 rounds.
 func TestNoDurabilityOverhead(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing comparison")
 	}
-	p := smallConcurrencyParams()
-	env, err := newConcurrencyEnv(p)
+	env, err := newConcurrencyEnv(smallConcurrencyParams())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer env.close()
 	dirs := t.TempDir()
-	const runs = 5
-	minDur := func(durable bool, round int) time.Duration {
-		best := time.Duration(1) << 62
-		for i := 0; i < runs; i++ {
-			key := fmt.Sprintf("dur-ovh-%v-%d-%d", durable, round, i)
-			var opts []payless.Option
-			if durable {
-				opts = append(opts,
-					payless.WithDurableStore(filepath.Join(dirs, key)),
-					payless.WithStoreSync(payless.StoreSyncOff, 0))
-			}
-			if d := replay(t, env, key, opts...); d < best {
-				best = d
-			}
+	base, durable := guardOverhead(t, env, "durable store", func(key string) []payless.Option {
+		return []payless.Option{
+			payless.WithDurableStore(filepath.Join(dirs, key)),
+			payless.WithStoreSync(payless.StoreSyncOff, 0),
 		}
-		return best
-	}
-	for round := 0; ; round++ {
-		base := minDur(false, round)
-		durable := minDur(true, round)
-		overhead := float64(durable-base) / float64(base)
-		if overhead < 0.02 {
-			t.Logf("durable-store overhead %.2f%% (base %v, durable %v)", 100*overhead, base, durable)
-			return
-		}
-		if round == 2 {
-			t.Fatalf("durable store adds %.1f%% overhead (base %v, durable %v), want <2%%",
-				100*overhead, base, durable)
-		}
-	}
+	})
+	t.Logf("durable-store overhead %.2f%% (base %v, durable %v)", 100*float64(durable-base)/float64(base), base, durable)
 }

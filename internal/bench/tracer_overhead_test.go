@@ -16,17 +16,8 @@ type noopTracer struct{}
 func (noopTracer) Begin(string) *payless.Trace { return nil }
 func (noopTracer) Finish(*payless.Trace)       {}
 
-// replay runs one full pass over the workload on a fresh client.
-func replay(t testing.TB, env *concurrencyEnv, key string, opts ...payless.Option) time.Duration {
-	t.Helper()
-	var total time.Duration
-	for _, d := range replayQueries(t, env, key, opts...) {
-		total += d
-	}
-	return total
-}
-
-// replayQueries is replay with the time of each query reported apart.
+// replayQueries runs one full pass over the workload on a fresh client and
+// returns the time each query took.
 func replayQueries(t testing.TB, env *concurrencyEnv, key string, opts ...payless.Option) []time.Duration {
 	t.Helper()
 	client, err := env.client(key, 8, opts...)
@@ -46,28 +37,37 @@ func replayQueries(t testing.TB, env *concurrencyEnv, key string, opts ...payles
 
 // TestNoopTracerOverhead is the benchmark-smoke guard: a client whose
 // Tracer declines every query must run the fan-out workload within 2% of
-// an untraced client. Each side's time is the sum, over the workload's
-// queries, of that query's mean time across the faster half of all replays
-// so far: dropping the slow half ignores the replays that scheduler noise
-// slows down, and averaging the rest is steadier than the minimum, which a
-// single lucky replay sets. The two clients' replays alternate, each pair
-// in the order opposite to the last one, so drift in the machine's load
-// (or the warm-up of the market server) falls on both sides alike instead
-// of on whichever side happens to be measured second. Before declaring a
-// regression the comparison takes N more replays a side, keeping the ones
-// so far.
+// an untraced client.
 func TestNoopTracerOverhead(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing comparison")
 	}
-	p := smallConcurrencyParams()
-	env, err := newConcurrencyEnv(p)
+	env, err := newConcurrencyEnv(smallConcurrencyParams())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer env.close()
+	base, traced := guardOverhead(t, env, "noop tracer", func(string) []payless.Option {
+		return []payless.Option{payless.WithTracer(noopTracer{})}
+	})
+	t.Logf("noop-tracer overhead %.2f%% (base %v, traced %v)", 100*float64(traced-base)/float64(base), base, traced)
+}
+
+// guardOverhead fails t unless clients opened with opts(key) run env's
+// workload within 2% of plain clients, and returns both sides' times. Each
+// side's time is the sum, over the workload's queries, of that query's mean
+// time across the faster half of all replays so far: dropping the slow half
+// ignores the replays that scheduler noise slows down, and averaging the
+// rest is steadier than the minimum, which a single lucky replay sets. The
+// two sides' replays alternate, each pair in the order opposite to the last
+// one, so drift in the machine's load (or the warm-up of the market
+// server) falls on both sides alike instead of on whichever side happens
+// to be measured second. Each round adds 30 replays a side, keeping the
+// ones so far; the third round over the gate fails.
+func guardOverhead(t *testing.T, env *concurrencyEnv, what string, opts func(key string) []payless.Option) (base, other time.Duration) {
+	t.Helper()
 	const runs = 30
-	var took [2][][]time.Duration // [untraced, traced][query][replay]
+	var took [2][][]time.Duration // [plain, with opts][query][replay]
 	for side := range took {
 		took[side] = make([][]time.Duration, len(env.sql))
 	}
@@ -81,35 +81,31 @@ func TestNoopTracerOverhead(t *testing.T) {
 		}
 		return sum / time.Duration(len(s))
 	}
-	measure := func(round int) (base, traced time.Duration) {
+	for round := 0; ; round++ {
 		for i := 0; i < runs; i++ {
 			for j := 0; j < 2; j++ {
 				side := (i + j) % 2
-				var opts []payless.Option
+				key := fmt.Sprintf("ovh-%d-%d-%d", side, round, i)
+				var o []payless.Option
 				if side == 1 {
-					opts = append(opts, payless.WithTracer(noopTracer{}))
+					o = opts(key)
 				}
-				for q, d := range replayQueries(t, env, fmt.Sprintf("ovh-%d-%d-%d", side, round, i), opts...) {
+				for q, d := range replayQueries(t, env, key, o...) {
 					took[side][q] = append(took[side][q], d)
 				}
 			}
 		}
+		base, other = 0, 0
 		for q := range env.sql {
 			base += fasterHalfMean(took[0][q])
-			traced += fasterHalfMean(took[1][q])
+			other += fasterHalfMean(took[1][q])
 		}
-		return base, traced
-	}
-	for round := 0; ; round++ {
-		base, traced := measure(round)
-		overhead := float64(traced-base) / float64(base)
+		overhead := float64(other-base) / float64(base)
 		if overhead < 0.02 {
-			t.Logf("noop-tracer overhead %.2f%% (base %v, traced %v)", 100*overhead, base, traced)
-			return
+			return base, other
 		}
 		if round == 2 {
-			t.Fatalf("noop tracer adds %.1f%% overhead (base %v, traced %v), want <2%%",
-				100*overhead, base, traced)
+			t.Fatalf("%s adds %.1f%% overhead (base %v, with it %v), want <2%%", what, 100*overhead, base, other)
 		}
 	}
 }

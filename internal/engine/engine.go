@@ -72,6 +72,9 @@ type Engine struct {
 	// plan-merge order) plus semantic-store hit accounting. Nil disables
 	// tracing at the cost of one nil check per instrumentation point.
 	Trace *obs.Trace
+	// Metrics receives the per-call latency and retry families and the
+	// semantic-store hit families, traced or not; nil disables them.
+	Metrics *obs.Metrics
 	// Breakers short-circuits calls to datasets whose endpoints keep
 	// failing; nil disables circuit breaking. The set outlives any single
 	// engine — it belongs to the client, so breaker state carries across
@@ -190,7 +193,7 @@ func (e *Engine) storedScan(rel *core.Rel) (storage.Relation, error) {
 	}
 	// A fully covered market relation is a zero-price access (Theorem 2):
 	// the whole read is a semantic-store hit.
-	e.Trace.AddStoreHit(int64(len(out.Rows)))
+	e.storeHit(int64(len(out.Rows)))
 	return out, nil
 }
 
@@ -368,11 +371,8 @@ func (e *Engine) bindScan(ctx context.Context, rel *core.Rel, step core.Step, pr
 // the store served approximately the rows beyond the fresh records (an
 // estimate: overlap dedup can make fresh rows and stored rows coincide).
 func (e *Engine) noteStoreServed(specCount, outRows int, results []*market.Result) {
-	if e.Trace == nil {
-		return
-	}
 	if specCount == 0 {
-		e.Trace.AddStoreHit(int64(outRows))
+		e.storeHit(int64(outRows))
 		return
 	}
 	var fresh int
@@ -381,7 +381,16 @@ func (e *Engine) noteStoreServed(specCount, outRows int, results []*market.Resul
 			fresh += res.Records
 		}
 	}
-	e.Trace.AddStoreRows(int64(outRows - fresh))
+	if stored := int64(outRows - fresh); stored > 0 {
+		e.Trace.AddStoreRows(stored)
+		e.Metrics.Add(obs.StoreHitRows, stored)
+	}
+}
+
+// storeHit books a plan access served entirely from the semantic store.
+func (e *Engine) storeHit(rows int64) {
+	e.Trace.AddStoreHit(rows)
+	e.Metrics.AddAll(obs.StoreHits.By(1), obs.StoreHitRows.By(rows))
 }
 
 // coalesceBindings groups sorted binding coordinates into call boxes.

@@ -100,16 +100,13 @@ func (e *Engine) runBatch(ctx context.Context, specs []callSpec, report *Report)
 	defer cancel()
 	results := make([]*market.Result, len(specs))
 	errs := make([]error, len(specs))
-	// Per-call trace records live alongside the results. Each record is
-	// written only by the goroutine running its call (latency, transport
-	// retries via obs.ContextWithCall) and appended to the trace in the
-	// plan-order merge below, so traced call order is deterministic at
-	// every concurrency level.
+	// Per-call records live alongside the results. Each record is written
+	// only by the goroutine running its call (latency, transport retries
+	// via obs.ContextWithCall), then folded into the metrics and, when
+	// tracing, appended to the trace in the plan-order merge below, so
+	// traced call order is deterministic at every concurrency level.
 	traced := e.Trace != nil
-	var recs []*obs.CallRecord
-	if traced {
-		recs = make([]*obs.CallRecord, len(specs))
-	}
+	recs := make([]obs.CallRecord, len(specs))
 	// infos holds the scheduler's verdict per call (shared, merged,
 	// recorded-on-our-behalf); zero values when no scheduler is wired.
 	infos := make([]sched.Info, len(specs))
@@ -142,17 +139,8 @@ func (e *Engine) runBatch(ctx context.Context, specs []callSpec, report *Report)
 				cancel()
 				return
 			}
-			callCtx := cctx
-			var start time.Time
-			if traced {
-				recs[i] = &obs.CallRecord{
-					Dataset: specs[i].meta.Dataset,
-					Table:   specs[i].meta.Name,
-					Query:   specs[i].q.String(),
-				}
-				callCtx = obs.ContextWithCall(cctx, recs[i])
-				start = time.Now()
-			}
+			callCtx := obs.ContextWithCall(cctx, &recs[i])
+			start := time.Now()
 			var res market.Result
 			var err error
 			if e.Sched != nil {
@@ -165,9 +153,7 @@ func (e *Engine) runBatch(ctx context.Context, specs []callSpec, report *Report)
 			} else {
 				res, err = market.Do(callCtx, e.Caller, specs[i].q)
 			}
-			if traced {
-				recs[i].Latency = time.Since(start)
-			}
+			recs[i].Latency = time.Since(start)
 			release(err)
 			if err != nil {
 				errs[i] = err
@@ -202,8 +188,12 @@ func (e *Engine) runBatch(ctx context.Context, specs []callSpec, report *Report)
 				mergeErr = err
 			}
 		}
+		rec := &recs[i]
+		e.Metrics.ObserveCall(rec.Latency, rec.Retries)
 		if traced {
-			rec := recs[i]
+			rec.Dataset = spec.meta.Dataset
+			rec.Table = spec.meta.Name
+			rec.Query = spec.q.String()
 			rec.Records = int64(res.Records)
 			rec.Transactions = res.Transactions
 			rec.Price = res.Price

@@ -269,10 +269,11 @@ func (e *endpoint) observedEWMA() time.Duration {
 
 // attemptResult is one endpoint attempt's outcome.
 type attemptResult struct {
-	ep    *endpoint
-	res   market.Result
-	err   error
-	hedge bool
+	ep      *endpoint
+	res     market.Result
+	err     error
+	hedge   bool
+	retries int
 }
 
 // Call implements market.Caller: rank, try, fail over, optionally hedge.
@@ -329,11 +330,15 @@ func (f *Caller) Call(ctx context.Context, q catalog.AccessQuery) (market.Result
 			}
 			inflight++
 			go func() {
+				// Each attempt counts its transport retries on a record of
+				// its own: a hedge runs beside the primary, and an abandoned
+				// attempt may still be retrying after Call returns.
+				own := &obs.CallRecord{}
 				start := time.Now()
-				res, err := ep.Caller.Call(actx, q)
+				res, err := ep.Caller.Call(obs.ContextWithCall(actx, own), q)
 				ep.observe(time.Since(start), err)
 				release(err)
-				results <- attemptResult{ep: ep, res: res, err: err, hedge: isHedge}
+				results <- attemptResult{ep: ep, res: res, err: err, hedge: isHedge, retries: own.Retries}
 			}()
 			return true
 		}
@@ -371,6 +376,9 @@ func (f *Caller) Call(ctx context.Context, q catalog.AccessQuery) (market.Result
 			}
 		case r := <-results:
 			inflight--
+			if rec := obs.CallFromContext(ctx); rec != nil {
+				rec.Retries += r.retries
+			}
 			if r.err == nil {
 				cancel() // the losing hedge is abandoned; any bill it landed is the lost-call remainder
 				if r.hedge {

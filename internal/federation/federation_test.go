@@ -449,3 +449,36 @@ func TestNewValidation(t *testing.T) {
 		t.Fatal("want error for missing transport")
 	}
 }
+
+// retryingCaller counts retries the way the HTTP connector does, on the
+// call record in its context, then serves the call.
+type retryingCaller struct{ retries int }
+
+func (c retryingCaller) Call(ctx context.Context, q catalog.AccessQuery) (market.Result, error) {
+	for i := 0; i < c.retries; i++ {
+		obs.CallFromContext(ctx).AddRetry()
+		time.Sleep(time.Millisecond)
+	}
+	return market.Result{Records: 1, Transactions: 1, Price: 1}, nil
+}
+
+// TestHedgedAttemptsKeepTheirOwnRetryCounts races a hedge against a
+// primary that both retry: each attempt counts into its own record, and
+// the call's record gets the retries of the attempt that served it, so the
+// two attempts never write one record at once (run with -race).
+func TestHedgedAttemptsKeepTheirOwnRetryCounts(t *testing.T) {
+	f, err := New([]Endpoint{
+		{Name: "a", Caller: retryingCaller{retries: 5}, PriceFactor: 1},
+		{Name: "b", Caller: retryingCaller{retries: 5}, PriceFactor: 2},
+	}, Config{HedgeAfter: time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := &obs.CallRecord{}
+	if _, err := f.Call(obs.ContextWithCall(context.Background(), rec), q("DS", "T")); err != nil {
+		t.Fatal(err)
+	}
+	if !rec.Hedged || rec.Retries != 5 {
+		t.Fatalf("hedged=%v retries=%d, want a hedge and the 5 retries of the attempt that won", rec.Hedged, rec.Retries)
+	}
+}

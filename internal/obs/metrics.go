@@ -460,22 +460,17 @@ func (m *Metrics) addSpend(calls, records, transactions int64, price float64, fa
 	}
 }
 
-// ObserveTrace folds a finished trace's per-call detail into the registry:
-// call latencies, retries and semantic-store reuse. Call/record/transaction
-// totals are NOT added here — ObserveQuery already counted them from the
-// query report — so observing both for the same query never double-counts.
-func (m *Metrics) ObserveTrace(t *Trace) {
-	if m == nil || t == nil {
+// ObserveCall folds one completed market call into the registry: its
+// latency and its transport retries beyond the first attempt.
+func (m *Metrics) ObserveCall(latency time.Duration, retries int) {
+	if m == nil {
 		return
 	}
+	b := bucketOf(latency)
 	m.mu.Lock()
-	defer m.mu.Unlock()
-	for _, c := range t.Calls {
-		m.hists[CallLatency.slot].observe(bucketOf(c.Latency), c.Latency)
-		m.ints[Retries.slot] += int64(c.Retries)
-	}
-	m.ints[StoreHits.slot] += int64(t.StoreHits)
-	m.ints[StoreHitRows.slot] += t.StoreHitRows
+	m.hists[CallLatency.slot].observe(b, latency)
+	m.ints[Retries.slot] += int64(retries)
+	m.mu.Unlock()
 }
 
 // Snapshot returns a consistent copy of the registry.

@@ -16,18 +16,16 @@ func TestMetricsCountersAndPrometheus(t *testing.T) {
 	m := NewMetrics()
 	m.ObserveQuery(10*time.Millisecond, time.Millisecond, 2, 150, 3, 3)
 	m.Add(QueryErrors, 1)
-	tr := NewTrace("q")
-	tr.AddCall(CallRecord{Latency: 4 * time.Millisecond, Retries: 1})
-	tr.AddCall(CallRecord{Latency: 6 * time.Millisecond})
-	tr.AddStoreHit(25)
-	m.ObserveTrace(tr)
+	m.ObserveCall(4*time.Millisecond, 1)
+	m.ObserveCall(6*time.Millisecond, 0)
+	m.AddAll(StoreHits.By(1), StoreHitRows.By(25))
 
 	s := m.Snapshot()
 	if s.Queries != 1 || s.QueryErrors != 1 || s.Calls != 2 || s.Transactions != 3 {
 		t.Errorf("snapshot counters: %+v", s)
 	}
 	if s.Retries != 1 || s.StoreHits != 1 || s.StoreHitRows != 25 {
-		t.Errorf("trace-fed counters: %+v", s)
+		t.Errorf("call and store-hit counters: %+v", s)
 	}
 	if s.CallLatency.Count != 2 {
 		t.Errorf("call latency count = %d, want 2", s.CallLatency.Count)
@@ -92,11 +90,9 @@ func fillEveryFamily(m *Metrics) {
 	m.ObserveQuery(10*time.Millisecond, time.Millisecond, 2, 150, 3, 3)
 	m.ObserveQuery(12*time.Second, 250*time.Microsecond, 1, 7, 1, 0.5) // overflows the last bucket
 	m.Add(QueryErrors, 1)
-	tr := NewTrace("q")
-	tr.AddCall(CallRecord{Latency: 4 * time.Millisecond, Retries: 1})
-	tr.AddCall(CallRecord{Latency: 6 * time.Millisecond})
-	tr.AddStoreHit(25)
-	m.ObserveTrace(tr)
+	m.ObserveCall(4*time.Millisecond, 1)
+	m.ObserveCall(6*time.Millisecond, 0)
+	m.AddAll(StoreHits.By(1), StoreHitRows.By(25))
 	observeServedCall(m, 2*time.Millisecond, 150, 2, 2)
 	observeServedCall(m, 3*time.Millisecond, 50, 1, 1.25)
 	m.AddAll(StoreLookups.By(1), StoreLookupMicros.By(12), StorePrunedBoxes.By(4), StoreFastPathHits.By(Flag(true)))
@@ -361,7 +357,7 @@ func TestNilMetricsIsNoOp(t *testing.T) {
 	m.Observe(CallLatency, time.Millisecond)
 	m.ObserveQuery(time.Millisecond, 0, 1, 1, 1, 1)
 	m.AddSpend(1, 1, 1, 1, true)
-	m.ObserveTrace(NewTrace("q"))
+	m.ObserveCall(time.Millisecond, 1)
 	if s := m.Snapshot(); !reflect.DeepEqual(s, Snapshot{}) {
 		t.Errorf("nil metrics snapshot: %+v", s)
 	}

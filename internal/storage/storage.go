@@ -8,6 +8,7 @@ package storage
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -175,11 +176,11 @@ func (r Relation) Distinct() Relation {
 // DistinctValues returns the distinct values of one column in first-seen
 // order — used to collect bind-join binding values.
 func (r Relation) DistinctValues(col int) []value.Value {
-	seen := make(map[string]struct{})
+	seen := make(map[keyVal]struct{})
 	var out []value.Value
 	for _, row := range r.Rows {
 		v := row[col]
-		k := fmt.Sprintf("%d|%s", v.K, v.String())
+		k := distinctVal(v)
 		if _, dup := seen[k]; dup {
 			continue
 		}
@@ -191,67 +192,64 @@ func (r Relation) DistinctValues(col int) []value.Value {
 
 // HashJoin equi-joins r and s on the given column pairs (r.Rows x s.Rows
 // where r[lc[i]] == s[rc[i]] for all i). The output schema is the
-// concatenation of both schemas.
+// concatenation of both schemas. Rows come out in probe order, and each
+// probe row's matches in build order; joined rows share one backing slab,
+// each capped at its own width. Without key pairs it is the cartesian
+// product, r-major.
 func HashJoin(r, s Relation, lc, rc []int) Relation {
 	out := Relation{Schema: append(r.Schema.Clone(), s.Schema.Clone()...)}
-	if len(lc) != len(rc) || len(lc) == 0 {
-		return Cross(r, s)
+	if len(lc) != len(rc) {
+		lc, rc = nil, nil
 	}
 	// Build on the smaller side.
 	build, probe := s, r
 	bc, pc := rc, lc
 	swapped := false
-	if len(r.Rows) < len(s.Rows) {
+	if len(lc) > 0 && len(r.Rows) < len(s.Rows) {
 		build, probe = r, s
 		bc, pc = lc, rc
 		swapped = true
 	}
-	ht := make(map[string][]value.Row, len(build.Rows))
-	for _, row := range build.Rows {
-		ht[joinKey(row, bc)] = append(ht[joinKey(row, bc)], row)
+	// Adding rows back to front walks every chain in build order: entry e
+	// is row last-e.
+	last := int32(len(build.Rows) - 1)
+	ht := keyChains{head: make(map[uint64]int32, len(build.Rows)), next: make([]int32, 0, len(build.Rows))}
+	for i := last; i >= 0; i-- {
+		ht.add(keyHash(build.Rows[i], bc))
 	}
-	for _, prow := range probe.Rows {
-		for _, brow := range ht[joinKey(prow, pc)] {
-			var joined value.Row
-			if swapped {
-				// build side is r, probe side is s.
-				joined = append(append(value.Row{}, brow...), prow...)
-			} else {
-				joined = append(append(value.Row{}, prow...), brow...)
+	// pairs holds the (probe, build) row indexes of every match.
+	var pairs []int32
+	width := 0
+	for p, prow := range probe.Rows {
+		for e := ht.first(keyHash(prow, pc)); e >= 0; e = ht.next[e] {
+			if b := last - e; keysEqual(prow, pc, build.Rows[b], bc) {
+				pairs = append(pairs, int32(p), b)
+				width += len(prow) + len(build.Rows[b])
 			}
-			out.Rows = append(out.Rows, joined)
 		}
+	}
+	if len(pairs) == 0 {
+		return out
+	}
+	slab := make([]value.Value, width)
+	out.Rows = make([]value.Row, len(pairs)/2)
+	for k := range out.Rows {
+		first, second := probe.Rows[pairs[2*k]], build.Rows[pairs[2*k+1]]
+		if swapped {
+			// build side is r, probe side is s.
+			first, second = second, first
+		}
+		w := len(first) + len(second)
+		row := slab[:w:w]
+		slab = slab[w:]
+		copy(row[copy(row, first):], second)
+		out.Rows[k] = row
 	}
 	return out
 }
 
-func joinKey(row value.Row, cols []int) string {
-	var b strings.Builder
-	for i, c := range cols {
-		if i > 0 {
-			b.WriteByte(0x1f)
-		}
-		v := row[c]
-		// Normalise numerics so Int(2) joins Float(2.0).
-		if v.K == value.Float && v.F == float64(int64(v.F)) {
-			v = value.NewInt(int64(v.F))
-		}
-		b.WriteByte(byte(v.K) + '0')
-		b.WriteString(v.String())
-	}
-	return b.String()
-}
-
-// Cross returns the cartesian product of r and s.
-func Cross(r, s Relation) Relation {
-	out := Relation{Schema: append(r.Schema.Clone(), s.Schema.Clone()...)}
-	for _, a := range r.Rows {
-		for _, b := range s.Rows {
-			out.Rows = append(out.Rows, append(append(value.Row{}, a...), b...))
-		}
-	}
-	return out
-}
+// Cross returns the cartesian product of r and s, r-major.
+func Cross(r, s Relation) Relation { return HashJoin(r, s, nil, nil) }
 
 // AggFunc enumerates the supported aggregate functions.
 type AggFunc uint8
@@ -291,12 +289,13 @@ type AggSpec struct {
 	As   string
 }
 
+// aggState accumulates one aggregate of one group. count is the number of
+// rows (COUNT(*)) or non-null values seen; min and max index the rows
+// holding the extreme values so far, valid once count > 0.
 type aggState struct {
-	count int64
-	sum   float64
-	min   value.Value
-	max   value.Value
-	seen  bool
+	count    int64
+	sum      float64
+	min, max int32
 }
 
 // Aggregate groups r by the given columns and computes the aggregates.
@@ -326,23 +325,28 @@ func Aggregate(r Relation, groupBy []int, aggs []AggSpec) Relation {
 		sch = append(sch, value.Column{Name: name, Type: typ})
 	}
 
-	groups := make(map[string][]*aggState)
-	keys := make(map[string]value.Row)
-	var order []string
-	for _, row := range r.Rows {
-		gk := joinKey(row, groupBy)
-		states, ok := groups[gk]
-		if !ok {
-			states = make([]*aggState, len(aggs))
-			for i := range states {
-				states[i] = &aggState{}
+	// Groups are numbered in first-seen order; firsts[g] is the row that
+	// opened group g (-1 for the global group of an empty input) and
+	// states[g*len(aggs):] its aggregates.
+	ht := keyChains{head: make(map[uint64]int32)}
+	var firsts []int32
+	var states []aggState
+	for ri, row := range r.Rows {
+		h := keyHash(row, groupBy)
+		g := ht.first(h)
+		for g >= 0 && !keysEqual(row, groupBy, r.Rows[firsts[g]], groupBy) {
+			g = ht.next[g]
+		}
+		if g < 0 {
+			g = ht.add(h)
+			firsts = append(firsts, int32(ri))
+			if cap(states)-len(states) < len(aggs) {
+				states = slices.Grow(states, len(states)+len(aggs))
 			}
-			groups[gk] = states
-			keys[gk] = value.Project(row, groupBy)
-			order = append(order, gk)
+			states = append(states, make([]aggState, len(aggs))...)
 		}
 		for i, a := range aggs {
-			st := states[i]
+			st := &states[int(g)*len(aggs)+i]
 			if a.Col < 0 {
 				st.count++
 				continue
@@ -351,63 +355,53 @@ func Aggregate(r Relation, groupBy []int, aggs []AggSpec) Relation {
 			if v.IsNull() {
 				continue
 			}
+			if st.count == 0 || v.Compare(r.Rows[st.min][a.Col]) < 0 {
+				st.min = int32(ri)
+			}
+			if st.count == 0 || v.Compare(r.Rows[st.max][a.Col]) > 0 {
+				st.max = int32(ri)
+			}
 			st.count++
 			st.sum += v.AsFloat()
-			if !st.seen || v.Compare(st.min) < 0 {
-				st.min = v
-			}
-			if !st.seen || v.Compare(st.max) > 0 {
-				st.max = v
-			}
-			st.seen = true
 		}
 	}
-	if len(groupBy) == 0 && len(order) == 0 {
+	if len(groupBy) == 0 && len(firsts) == 0 {
 		// Global aggregate over empty input.
-		groups[""] = make([]*aggState, len(aggs))
-		for i := range groups[""] {
-			groups[""][i] = &aggState{}
-		}
-		keys[""] = value.Row{}
-		order = append(order, "")
+		firsts = append(firsts, -1)
+		states = append(states, make([]aggState, len(aggs))...)
 	}
 
 	out := Relation{Schema: sch}
-	for _, gk := range order {
-		states := groups[gk]
-		row := append(value.Row{}, keys[gk]...)
-		for i, a := range aggs {
-			st := states[i]
-			switch a.Func {
-			case Count:
-				row = append(row, value.NewInt(st.count))
-			case Sum:
-				if st.count == 0 {
-					row = append(row, value.NewNull())
-				} else {
-					row = append(row, value.NewFloat(st.sum))
-				}
-			case Avg:
-				if st.count == 0 {
-					row = append(row, value.NewNull())
-				} else {
-					row = append(row, value.NewFloat(st.sum/float64(st.count)))
-				}
-			case Min:
-				if !st.seen {
-					row = append(row, value.NewNull())
-				} else {
-					row = append(row, st.min)
-				}
-			case Max:
-				if !st.seen {
-					row = append(row, value.NewNull())
-				} else {
-					row = append(row, st.max)
-				}
-			}
+	if len(firsts) == 0 {
+		return out
+	}
+	width := len(groupBy) + len(aggs)
+	slab := make([]value.Value, len(firsts)*width)
+	out.Rows = make([]value.Row, len(firsts))
+	for g, first := range firsts {
+		row := slab[g*width : (g+1)*width : (g+1)*width]
+		for k, c := range groupBy {
+			row[k] = r.Rows[first][c]
 		}
-		out.Rows = append(out.Rows, row)
+		for i, a := range aggs {
+			st := states[g*len(aggs)+i]
+			v := value.NewNull()
+			switch {
+			case a.Func == Count:
+				v = value.NewInt(st.count)
+			case st.count == 0: // SUM, AVG, MIN and MAX of nothing are NULL
+			case a.Func == Sum:
+				v = value.NewFloat(st.sum)
+			case a.Func == Avg:
+				v = value.NewFloat(st.sum / float64(st.count))
+			case a.Func == Min:
+				v = r.Rows[st.min][a.Col]
+			case a.Func == Max:
+				v = r.Rows[st.max][a.Col]
+			}
+			row[len(groupBy)+i] = v
+		}
+		out.Rows[g] = row
 	}
 	return out
 }
@@ -439,41 +433,4 @@ func (r Relation) Limit(n int) Relation {
 		return r
 	}
 	return Relation{Schema: r.Schema, Rows: r.Rows[:n]}
-}
-
-// MergeJoin equi-joins r and s on single columns lc/rc by sorting both
-// sides — the classic alternative to HashJoin, preferable when inputs are
-// already ordered or memory for a hash table is tight. The output schema
-// and row multiset match HashJoin's.
-func MergeJoin(r, s Relation, lc, rc int) Relation {
-	out := Relation{Schema: append(r.Schema.Clone(), s.Schema.Clone()...)}
-	left := r.OrderBy([]int{lc}, nil)
-	right := s.OrderBy([]int{rc}, nil)
-	i, j := 0, 0
-	for i < len(left.Rows) && j < len(right.Rows) {
-		cmp := left.Rows[i][lc].Compare(right.Rows[j][rc])
-		switch {
-		case cmp < 0:
-			i++
-		case cmp > 0:
-			j++
-		default:
-			// Emit the cross product of the equal runs.
-			iEnd := i
-			for iEnd < len(left.Rows) && left.Rows[iEnd][lc].Compare(right.Rows[j][rc]) == 0 {
-				iEnd++
-			}
-			jEnd := j
-			for jEnd < len(right.Rows) && left.Rows[i][lc].Compare(right.Rows[jEnd][rc]) == 0 {
-				jEnd++
-			}
-			for a := i; a < iEnd; a++ {
-				for b := j; b < jEnd; b++ {
-					out.Rows = append(out.Rows, append(append(value.Row{}, left.Rows[a]...), right.Rows[b]...))
-				}
-			}
-			i, j = iEnd, jEnd
-		}
-	}
-	return out
 }

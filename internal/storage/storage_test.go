@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -263,72 +264,53 @@ func TestHashJoinMatchesNestedLoop(t *testing.T) {
 	}
 }
 
-func TestMergeJoinMatchesHashJoin(t *testing.T) {
-	f := func(ls, rs []uint8) bool {
-		l := Relation{Schema: sch("a", "x")}
-		for i, v := range ls {
-			l.Rows = append(l.Rows, intRow(int64(v%6), int64(i)))
-		}
-		r := Relation{Schema: sch("b", "y")}
-		for i, v := range rs {
-			r.Rows = append(r.Rows, intRow(int64(v%6), int64(100+i)))
-		}
-		h := HashJoin(l, r, []int{0}, []int{0})
-		m := MergeJoin(l, r, 0, 0)
-		if h.Len() != m.Len() {
-			return false
-		}
-		// Compare as multisets.
-		count := make(map[string]int)
-		for _, row := range h.Rows {
-			count[row.Key()]++
-		}
-		for _, row := range m.Rows {
-			count[row.Key()]--
-		}
-		for _, c := range count {
-			if c != 0 {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
-	}
-}
+// sinkRel keeps benchmarked results live.
+var sinkRel Relation
 
-func TestMergeJoinDuplicateRuns(t *testing.T) {
-	l := Relation{Schema: sch("a"), Rows: []value.Row{intRow(2), intRow(2), intRow(3)}}
-	r := Relation{Schema: sch("b"), Rows: []value.Row{intRow(2), intRow(2), intRow(2)}}
-	m := MergeJoin(l, r, 0, 0)
-	if m.Len() != 6 {
-		t.Errorf("duplicate runs: %d rows, want 6", m.Len())
-	}
-}
-
+// BenchmarkHashJoin joins two 5000-row relations on one Int key column
+// (500 distinct keys, 50k output rows) and on an Int plus String key
+// (1000 distinct keys, 25k output rows).
 func BenchmarkHashJoin(b *testing.B) {
-	l := Relation{Schema: sch("a", "x")}
-	r := Relation{Schema: sch("b", "y")}
-	for i := 0; i < 5000; i++ {
-		l.Rows = append(l.Rows, intRow(int64(i%500), int64(i)))
-		r.Rows = append(r.Rows, intRow(int64(i%500), int64(i)))
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		HashJoin(l, r, []int{0}, []int{0})
-	}
+	b.Run("key=int", func(b *testing.B) {
+		l := Relation{Schema: sch("a", "x")}
+		r := Relation{Schema: sch("b", "y")}
+		for i := 0; i < 5000; i++ {
+			l.Rows = append(l.Rows, intRow(int64(i%500), int64(i)))
+			r.Rows = append(r.Rows, intRow(int64(i%500), int64(i)))
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			sinkRel = HashJoin(l, r, []int{0}, []int{0})
+		}
+	})
+	b.Run("key=int+string", func(b *testing.B) {
+		l := Relation{Schema: sch("a", "c", "x")}
+		r := Relation{Schema: sch("b", "d", "y")}
+		for i := 0; i < 5000; i++ {
+			c := value.NewString(fmt.Sprintf("c%d", i/500%2))
+			l.Rows = append(l.Rows, value.Row{value.NewInt(int64(i % 500)), c, value.NewInt(int64(i))})
+			r.Rows = append(r.Rows, value.Row{value.NewInt(int64(i % 500)), c, value.NewInt(int64(i))})
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			sinkRel = HashJoin(l, r, []int{0, 1}, []int{0, 1})
+		}
+	})
 }
 
-func BenchmarkMergeJoin(b *testing.B) {
-	l := Relation{Schema: sch("a", "x")}
-	r := Relation{Schema: sch("b", "y")}
+// BenchmarkAggregate groups 5000 rows into 500 groups and computes all five
+// aggregates.
+func BenchmarkAggregate(b *testing.B) {
+	rel := Relation{Schema: sch("g", "v")}
 	for i := 0; i < 5000; i++ {
-		l.Rows = append(l.Rows, intRow(int64(i%500), int64(i)))
-		r.Rows = append(r.Rows, intRow(int64(i%500), int64(i)))
+		rel.Rows = append(rel.Rows, intRow(int64(i%500), int64(i)))
 	}
+	aggs := []AggSpec{{Func: Count, Col: -1}, {Func: Sum, Col: 1}, {Func: Avg, Col: 1}, {Func: Min, Col: 1}, {Func: Max, Col: 1}}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		MergeJoin(l, r, 0, 0)
+		sinkRel = Aggregate(rel, []int{0}, aggs)
 	}
 }

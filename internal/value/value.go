@@ -9,7 +9,6 @@ package value
 
 import (
 	"fmt"
-	"hash/fnv"
 	"math"
 	"strconv"
 	"strings"
@@ -155,33 +154,6 @@ func (v Value) Compare(w Value) int {
 // Equal reports whether v and w compare equal.
 func (v Value) Equal(w Value) bool { return v.Compare(w) == 0 }
 
-// Hash mixes the value into a 64-bit FNV-1a hash.
-func (v Value) Hash() uint64 {
-	h := fnv.New64a()
-	var buf [9]byte
-	buf[0] = byte(v.K)
-	switch v.K {
-	case Int:
-		u := uint64(v.I)
-		for i := 0; i < 8; i++ {
-			buf[1+i] = byte(u >> (8 * i))
-		}
-		h.Write(buf[:9])
-	case Float:
-		u := math.Float64bits(v.F)
-		for i := 0; i < 8; i++ {
-			buf[1+i] = byte(u >> (8 * i))
-		}
-		h.Write(buf[:9])
-	case String:
-		h.Write(buf[:1])
-		h.Write([]byte(v.S))
-	default:
-		h.Write(buf[:1])
-	}
-	return h.Sum64()
-}
-
 // Row is a tuple of values laid out in schema order.
 type Row []Value
 
@@ -190,16 +162,6 @@ func (r Row) Clone() Row {
 	c := make(Row, len(r))
 	copy(c, r)
 	return c
-}
-
-// Hash combines the hashes of all values in the row.
-func (r Row) Hash() uint64 {
-	var h uint64 = 1469598103934665603 // FNV offset basis
-	for _, v := range r {
-		h ^= v.Hash()
-		h *= 1099511628211 // FNV prime
-	}
-	return h
 }
 
 // Equal reports whether two rows have identical length and values.

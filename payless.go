@@ -682,7 +682,6 @@ func (c *Client) finishTrace(tr *obs.Trace) {
 		return
 	}
 	tr.Finish()
-	c.metrics.ObserveTrace(tr)
 	c.cfg.Tracer.Finish(tr)
 }
 
@@ -822,6 +821,7 @@ func (c *Client) run(ctx context.Context, sql string, tr *obs.Trace, cache *core
 		Options:     opts,
 		Concurrency: c.cfg.fetchConcurrency(),
 		Trace:       tr,
+		Metrics:     c.metrics,
 		Breakers:    c.breakers,
 	}
 	endExec := tr.StartSpan("execute")

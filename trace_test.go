@@ -7,8 +7,10 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 
 	"payless/internal/catalog"
+	"payless/internal/chaos"
 	"payless/internal/market"
 	"payless/internal/storage"
 	"payless/internal/workload"
@@ -245,5 +247,83 @@ func TestUntracedQueryHasNoTrace(t *testing.T) {
 	}
 	if snap := client.Metrics(); snap.Queries != 1 {
 		t.Errorf("metrics must count untraced queries: %+v", snap)
+	}
+}
+
+// TestUntracedClientFeedsCallAndStoreFamilies runs the same queries, with
+// the same injected retries, on a traced and on an untraced client. Every
+// count and total in the two scrapes must be equal, and the call-latency,
+// retry and store-hit families must move on the untraced one: they do not
+// depend on tracing.
+func TestUntracedClientFeedsCallAndStoreFamilies(t *testing.T) {
+	scrape := func(traced bool) map[string]string {
+		t.Helper()
+		w := workload.GenerateWHW(workload.WHWConfig{
+			Seed: 11, Countries: 4, StationsPerCountry: 12, CitiesPerCountry: 3,
+			Days: 12, StartDate: 20140601, Zips: 30, MaxRank: 100,
+		})
+		m := market.New()
+		if err := w.Install(m, storage.NewDB(), 50, 2.0); err != nil {
+			t.Fatal(err)
+		}
+		m.RegisterAccount("fam")
+		// The first two data calls fail with a 500 before billing, so the
+		// first call is retried twice.
+		faults := chaos.NewSchedule(1).Target(func(string) bool { return true }, chaos.ServerError, 2)
+		srv := httptest.NewServer(chaos.Handler(m.Handler(), faults))
+		t.Cleanup(srv.Close)
+		opts := []Option{WithCallRetries(3), WithCallBackoff(time.Millisecond, time.Millisecond)}
+		if traced {
+			opts = append(opts, WithTracer(&CollectTracer{}))
+		}
+		client, err := OpenHTTP(srv.URL, "fam", []*catalog.Table{w.ZipMap}, opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := client.LoadLocal("ZipMap", w.ZipMapRows); err != nil {
+			t.Fatal(err)
+		}
+		scan := fmt.Sprintf("SELECT * FROM Weather WHERE Country = 'United States' AND Date >= %d AND Date <= %d",
+			w.Dates[0], w.Dates[6])
+		join := fmt.Sprintf("SELECT City, AVG(Temperature) FROM Station, Weather "+
+			"WHERE Station.Country = Weather.Country = 'United States' AND Weather.Date >= %d AND Weather.Date <= %d "+
+			"AND Station.StationID = Weather.StationID GROUP BY City", w.Dates[2], w.Dates[8])
+		for _, sql := range []string{scan, scan, join, join} {
+			if _, err := client.Query(sql); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var b strings.Builder
+		client.WriteMetrics(&b)
+		// Counts and totals, leaving out the wall-clock micros totals.
+		out := make(map[string]string)
+		for _, line := range strings.Split(b.String(), "\n") {
+			name, val, ok := strings.Cut(line, " ")
+			if ok && !strings.HasPrefix(line, "#") && !strings.Contains(name, "micros") &&
+				(strings.HasSuffix(name, "_count") || strings.HasSuffix(name, "_total")) {
+				out[name] = val
+			}
+		}
+		return out
+	}
+	traced, untraced := scrape(true), scrape(false)
+	for _, name := range []string{
+		"payless_call_duration_seconds_count", "payless_call_retries_total",
+		"payless_store_hits_total", "payless_store_hit_rows_total",
+	} {
+		if v := untraced[name]; v == "" || v == "0" {
+			t.Errorf("untraced client: %s = %q, want it to move", name, v)
+		}
+	}
+	if untraced["payless_call_retries_total"] != "2" {
+		t.Errorf("payless_call_retries_total = %s, want the 2 injected retries", untraced["payless_call_retries_total"])
+	}
+	if len(traced) != len(untraced) {
+		t.Fatalf("scrapes differ in families: traced %d, untraced %d", len(traced), len(untraced))
+	}
+	for name, v := range traced {
+		if untraced[name] != v {
+			t.Errorf("%s: traced %s, untraced %s", name, v, untraced[name])
+		}
 	}
 }
